@@ -388,6 +388,9 @@ def _cmd_certificate(config: RunConfig, args: argparse.Namespace) -> tuple[dict,
 
 
 def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool]:
+    if config.n_max < 4:
+        # the lemmas start at n = 4: a smaller bound would pass with nothing checked
+        raise ValueError(f"lemmas needs n_max >= 4, got {config.n_max}")
     rows = []
     all_pass = True
     for n in range(4, config.n_max + 1):
@@ -495,6 +498,8 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
 
     if n_max < 3:
         raise ValueError(f"report needs n_max >= 3, got {n_max}")
+    if samples < 1:
+        raise ValueError(f"report needs samples >= 1, got {samples}")
 
     theta_rows = []
     for n in range(3, n_max + 1):

@@ -1,17 +1,26 @@
 """Polynomial helpers over exact rationals.
 
 Univariate polynomials are dense coefficient lists, lowest power first.
-The Sturm-chain utilities decide real-rootedness exactly; floating point
+Real-rootedness is decided by one Sturm chain of primitive integer
+polynomials: the input is scaled to a primitive integer polynomial (a
+positive multiple of it), each further entry is the primitive part of a
+negated pseudo-remainder taken with a positive multiplier, and signs at
+a rational p/q come from homogeneous integer Horner evaluation.  Every
+entry is therefore a positive multiple of the classical -rem chain
+entry, so every sign and sign-change count is the classical one, and
+the last entry is gcd(p, p') up to a constant factor.  Floating point
 never enters a verdict.  A small four-variable polynomial type supports
 exact coefficient matching of algebraic identities.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 Poly = List[Fraction]
+IntPoly = List[int]
 MPoly = Dict[Tuple[int, int, int, int], Fraction]
 
 
@@ -38,67 +47,74 @@ def derivative(p: Sequence[Fraction]) -> Poly:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    den = trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero polynomial")
-    rem = list(trim(num))
-    if len(rem) < len(den):
-        return [], rem
-    quot = [Fraction(0)] * (len(rem) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(rem) - len(den), -1, -1):
-        coef = rem[shift + len(den) - 1] / lead
-        if coef:
-            quot[shift] = coef
-            for i, dc in enumerate(den):
-                rem[shift + i] -= coef * dc
-    return trim(quot), trim(rem)
+def _primitive(p: Sequence[int]) -> IntPoly:
+    """p divided by the gcd of its coefficients; p is trimmed and nonzero."""
+    content = math.gcd(*p)
+    return [c // content for c in p]
 
 
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = trim(p), trim(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def square_free_part(p: Sequence[Fraction]) -> Poly:
+def primitive_part(p: Sequence[Fraction]) -> IntPoly:
+    """The primitive integer polynomial that is a positive multiple of p
+    (rational or integer coefficients); [] for the zero polynomial."""
     q = trim(p)
-    if degree(q) < 1:
-        return q
-    g = poly_gcd(q, derivative(q))
-    if degree(g) < 1:
-        return q
-    part, _ = poly_divmod(q, g)
-    return part
+    if not q:
+        return []
+    scale = math.lcm(*(c.denominator for c in q))
+    return _primitive([c.numerator * (scale // c.denominator) for c in q])
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[Poly]:
-    p0 = trim(p)
+def _negated_prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive part of -rem(a, b) times a power of |lc(b)|, which keeps
+    every division exact and the sign of the classical remainder; []
+    when b divides a.  deg a >= deg b >= 1."""
+    lead = b[-1]
+    if lead < 0:
+        b, lead = [-c for c in b], -lead
+    r = list(a)
+    top = len(b) - 1
+    while len(r) > top:
+        c = r.pop()
+        if c:
+            shift = len(r) - top
+            # r <- lead r - c x^shift b, whose leading term cancels
+            r = [lead * v for v in r[:shift]] + [lead * v - c * w for v, w in zip(r[shift:], b)]
+    r = trim(r)
+    if not r:
+        return []
+    content = -math.gcd(*r)
+    return [c // content for c in r]
+
+
+def sturm_chain(p: Sequence[Fraction]) -> list[IntPoly]:
+    """Primitive-integer Sturm chain of p, ending at a constant multiple
+    of gcd(p, p'); each entry is a positive multiple of the classical one."""
+    p0 = primitive_part(p)
     chain = [p0]
-    if degree(p0) < 1:
+    if len(p0) < 2:
         return chain
-    chain.append(trim(derivative(p0)))
-    while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
+    chain.append(_primitive(derivative(p0)))
+    while len(chain[-1]) > 1:
+        r = _negated_prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(r)
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _sign(x: int | Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def sign_at(q: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial q at x = p/s, from the homogeneous
+    sum of c_i p^i s^(d-i), which has the sign of q(x) since s > 0."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(q):
+        acc = acc * num + c * scale
+        scale *= den
+    return _sign(acc)
 
 
 def _sign_changes(signs: Sequence[int]) -> int:
@@ -106,55 +122,40 @@ def _sign_changes(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
-def _signs_at_infinity(chain: Sequence[Sequence[Fraction]], direction: int) -> list[int]:
-    out = []
-    for q in chain:
-        d = degree(q)
-        if d < 0:
-            out.append(0)
-            continue
-        s = _sign(q[d])
-        if direction < 0 and d % 2 == 1:
-            s = -s
-        out.append(s)
-    return out
+def _distinct_real_roots(chain: Sequence[IntPoly]) -> int:
+    """V(-inf) - V(+inf) from the leading coefficients."""
+    at_plus = [_sign(q[-1]) for q in chain]
+    at_minus = [-s if len(q) % 2 == 0 else s for s, q in zip(at_plus, chain)]
+    return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-def sign_changes_at(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    return _sign_changes([_sign(evaluate(q, x)) for q in chain])
-
-
-def count_roots_between(chain: Sequence[Sequence[Fraction]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi] by Sturm's theorem."""
-    return sign_changes_at(chain, lo) - sign_changes_at(chain, hi)
+def sign_changes_at(chain: Sequence[IntPoly], x: Fraction) -> int:
+    return _sign_changes([sign_at(q, x) for q in chain])
 
 
 def count_distinct_real_roots(p: Sequence[Fraction]) -> int:
-    q = trim(p)
-    if degree(q) < 1:
-        return 0
-    chain = sturm_chain(q)
-    return _sign_changes(_signs_at_infinity(chain, -1)) - _sign_changes(
-        _signs_at_infinity(chain, +1)
-    )
+    chain = sturm_chain(p)
+    return _distinct_real_roots(chain) if len(chain[0]) > 1 else 0
 
 
 def is_real_rooted(p: Sequence[Fraction]) -> bool:
-    """Whether every complex root is real; degree < 1 counts vacuously."""
-    part = square_free_part(p)
-    d = degree(part)
-    if d < 1:
+    """Whether every complex root is real; degree < 1 counts vacuously.
+
+    p has deg p - deg gcd(p, p') distinct complex roots, and the chain
+    counts its distinct real ones."""
+    chain = sturm_chain(p)
+    if len(chain[0]) < 2:
         return True
-    return count_distinct_real_roots(part) == d
+    return _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
 
 
 def real_root_count_with_multiplicity(p: Sequence[Fraction]) -> int:
-    q = trim(p)
-    if degree(q) < 1:
+    """Real roots counted with multiplicity: the distinct real roots of
+    p, of gcd(p, p'), of the gcd of that and its derivative, and so on."""
+    chain = sturm_chain(p)
+    if len(chain[0]) < 2:
         return 0
-    g = poly_gcd(q, derivative(q))
-    part, _ = poly_divmod(q, g)
-    return count_distinct_real_roots(part) + real_root_count_with_multiplicity(g)
+    return _distinct_real_roots(chain) + real_root_count_with_multiplicity(chain[-1])
 
 
 # -- four-variable polynomials for exact coefficient matching -------------

@@ -124,20 +124,22 @@ def derivative_cascade(x: Iterable[RationalLike]) -> CascadeResult:
     if n < 3:
         raise ValueError(f"the cascade needs n >= 3, got n={n}")
     means = sigma_all(point).e_list()
+    # the means over one common denominator: each cascade polynomial is
+    # then an integer polynomial divided by `scale`
+    scale = math.lcm(*(e.denominator for e in means))
+    scaled = [e.numerator * (scale // e.denominator) for e in means]
     levels = []
     for order in range(n - 2):
         deg = n - order
+        signed = [(-1) ** m * binomial(deg, m) for m in range(deg + 1)]
         row = []
         for j in range(order + 1):
-            coeffs = tuple(
-                Fraction((-1) ** m * binomial(deg, m)) * means[j + m] for m in range(deg + 1)
-            )
-            low_first = list(reversed(coeffs))
-            if polys.degree(low_first) >= 1 and not polys.is_real_rooted(low_first):
+            numerators = [c * v for c, v in zip(signed, scaled[j:])]
+            if not polys.is_real_rooted(numerators[::-1]):
                 raise ArithmeticError(
                     f"cascade polynomial at order {order}, offset {j} lost real-rootedness"
                 )
-            row.append(coeffs)
+            row.append(tuple(Fraction(c, scale) for c in numerators))
         levels.append(tuple(row))
     return CascadeResult(n, tuple(levels))
 
@@ -325,47 +327,53 @@ def _roots_acceptable(poly: polys.Poly, roots: Sequence[Fraction]) -> bool:
 
 def _bisection_roots(poly: polys.Poly) -> list[Fraction]:
     """Exact Sturm isolation and bisection for a monic cubic with three
-    distinct real roots, followed by one Newton polish each."""
+    distinct real roots, followed by one Newton polish each.  Intervals
+    carry the sign-change counts of their ends, so each cut evaluates the
+    chain once, at the new point."""
     chain = polys.sturm_chain(poly)
     bound = Fraction(1) + max(abs(c) for c in poly)
-    while polys.evaluate(poly, bound) == 0 or polys.evaluate(poly, -bound) == 0:
+    while polys.sign_at(chain[0], bound) == 0 or polys.sign_at(chain[0], -bound) == 0:
         bound += 1
-    stack = [(-bound, bound)]
+    lo, hi = -bound, bound
+    stack = [(lo, polys.sign_changes_at(chain, lo), hi, polys.sign_changes_at(chain, hi))]
     roots: list[Fraction] = []
     while stack:
-        lo, hi = stack.pop()
-        count = polys.count_roots_between(chain, lo, hi)
+        lo, v_lo, hi, v_hi = stack.pop()
+        count = v_lo - v_hi
         if count == 0:
             continue
         if count == 1:
-            roots.append(_tighten_root(poly, chain, lo, hi))
+            roots.append(_tighten_root(poly, chain, lo, v_lo, hi))
             continue
-        mid = _nonroot_point(poly, lo, hi)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        mid = _nonroot_point(chain[0], lo, hi)
+        v_mid = polys.sign_changes_at(chain, mid)
+        stack.append((lo, v_lo, mid, v_mid))
+        stack.append((mid, v_mid, hi, v_hi))
     return roots
 
 
-def _nonroot_point(poly: polys.Poly, lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_point(p0: polys.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
     span = hi - lo
     point = lo + span / 2
     step = span / 1_000_003
-    while polys.evaluate(poly, point) == 0:
+    while polys.sign_at(p0, point) == 0:
         point += step
     return point
 
 
 def _tighten_root(
-    poly: polys.Poly, chain: Sequence[polys.Poly], lo: Fraction, hi: Fraction
+    poly: polys.Poly, chain: Sequence[polys.IntPoly], lo: Fraction, v_lo: int, hi: Fraction
 ) -> Fraction:
+    """Bisect (lo, hi], which holds one root and has v_lo sign changes at lo."""
     while hi - lo > _BISECTION_WIDTH:
         mid = (lo + hi) / 2
-        if polys.evaluate(poly, mid) == 0:
+        if polys.sign_at(chain[0], mid) == 0:
             return mid
-        if polys.count_roots_between(chain, lo, mid) == 1:
+        v_mid = polys.sign_changes_at(chain, mid)
+        if v_lo - v_mid == 1:
             hi = mid
         else:
-            lo = mid
+            lo, v_lo = mid, v_mid
     r = ((lo + hi) / 2).limit_denominator(_NEWTON_DEN_BOUND)
     slope = polys.evaluate(polys.derivative(poly), r)
     if slope != 0:

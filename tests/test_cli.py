@@ -130,6 +130,13 @@ class TestCertificateCommands:
         assert code == 0
         assert data == {"n": 3, "k": 1, "theta": "1/2", "source": "special-case"}
 
+    def test_lemmas_without_windows_rejected(self, capsys):
+        for n_max in ("3", "2", "-1"):
+            code, out, err = invoke(capsys, "lemmas", "--n-max", n_max)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: lemmas needs n_max >= 4, got {n_max}\n"
+
     def test_certificate_out_of_range(self, capsys):
         code, _, err = invoke(capsys, "certificate", "--n", "3", "--k", "1")
         assert code == 2
@@ -209,6 +216,13 @@ class TestReport:
         _, data, _ = invoke_json(capsys, "report", "--n-max", "3", "--samples", "10")
         assert data["certificates"] == []
         assert all(row["source"] == "special-case" for row in data["theta"])
+
+    def test_no_samples_rejected(self, capsys):
+        for samples in ("0", "-3"):
+            code, out, err = invoke(capsys, "report", "--n-max", "4", "--samples", samples)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: report needs samples >= 1, got {samples}\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import points, rationals, triples
-from symcert import polys
+from symcert import polys, reduction
 from symcert.core import sigma_all
 from symcert.gaps import gen_nm_gap
 from symcert.reduction import (
@@ -240,3 +240,25 @@ class TestRootExtraction:
         for root_text in triple.roots:
             residual = abs(polys.evaluate(coeffs, F(root_text)))
             assert residual <= scale / 10**12
+
+    @pytest.mark.parametrize(
+        "r, s",
+        [(F(1, 3), F(-2, 7)), (F(-5, 11), F(9, 13)), (F(2, 9), F(1, 4))],
+    )
+    def test_clustered_roots_take_certified_bisection(self, monkeypatch, r, s):
+        # roots 10^-10 apart defeat the trigonometric seeds, so the Sturm
+        # bisection fallback has to separate them
+        calls = []
+        bisect = reduction._bisection_roots
+
+        def spy(poly):
+            calls.append(poly)
+            return bisect(poly)
+
+        monkeypatch.setattr(reduction, "_bisection_roots", spy)
+        exact = sorted([r, r + F(1, 10**10), s])
+        triple = reduce_to_three(exact, 1)
+        assert len(calls) == 1
+        assert triple.branch is Branch.CASE_A
+        for text, root in zip(triple.roots, exact):
+            assert abs(F(text) - root) < F(1, 10**40)
