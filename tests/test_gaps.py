@@ -171,14 +171,16 @@ class TestGenMaclaurinChain:
 
     @given(nonneg_points, nonneg_rationals)
     def test_chain_transitivity(self, point, alpha):
-        # every pairwise cross-power comparison follows from the chain
+        # every pairwise cross-power comparison follows from the chain:
+        # terms[m] enters with exponent 1/(m+1), so for i < j the
+        # comparison is terms[i]^(j+1) >= terms[j]^(i+1)
         result = gen_maclaurin_chain(point, alpha)
         assert result.holds is True
         e = sigma_all(point).e_at
         terms = [alpha * e(m) + e(m + 1) for m in range(result.chain_top + 1)]
-        for i in range(1, len(terms)):
+        for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
-                assert terms[i] ** j >= terms[j] ** i
+                assert terms[i] ** (j + 1) >= terms[j] ** (i + 1)
 
 
 class TestLinearComboGap:
