@@ -15,13 +15,12 @@ with W a sum of three squares and V a positive-definite quadratic form in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 from . import polys
-from .core import RationalLike, as_point, as_rational, as_triple, binomial, sigma_all
+from .core import RationalLike, as_rational, as_triple, binomial
 
 
 def _check_general_range(n: int, k: int) -> None:
@@ -381,35 +380,54 @@ def f_scan(n: int) -> list[FScanRow]:
     return [FScanRow(k, f1(n, k), f2(n, k), f3(n, k), f4(n, k)) for k in range(1, n - 1)]
 
 
-class SpecialCase(Enum):
-    K0 = "K0"
-    KN1 = "KN1"
-    N3K1 = "N3K1"
+@lru_cache(maxsize=None)
+def _f_scan_passes(n: int) -> bool:
+    return all(row.all_positive for row in f_scan(n))
 
 
-def special_case_gap(
-    x: Iterable[RationalLike], alpha: RationalLike, case: SpecialCase
-) -> Fraction:
-    """Quantitative gap at theta = 1/2 in the three special windows.
+@dataclass(frozen=True)
+class WindowCheck:
+    """Every certificate check of one window (n, k); the window passes
+    when all of them hold."""
 
-    K0:   (1/2)(a + s1)^2 - (a s1 + s2)            = a^2/2 + (sum x_i^2)/2
-    KN1:  (1/2)(a s_{n-1} + s_n)^2 - (a s_{n-2} + s_{n-1}) a s_n
-    N3K1: (1/2)(a s1 + s2)^2 - (a + s1)(a s2 + s3)   for 3-tuples
-    """
-    point = as_point(x)
-    a = as_rational(alpha)
-    n = len(point)
-    s = sigma_all(point).sigma_at
-    half = Fraction(1, 2)
-    if case is SpecialCase.K0:
-        return half * (a + s(1)) ** 2 - (a * s(1) + s(2))
-    if case is SpecialCase.KN1:
-        return half * (a * s(n - 1) + s(n)) ** 2 - (a * s(n - 2) + s(n - 1)) * a * s(n)
-    if case is SpecialCase.N3K1:
-        if n != 3:
-            raise ValueError(f"N3K1 needs a 3-tuple, got length {n}")
-        return half * (a * s(1) + s(2)) ** 2 - (a + s(1)) * (a * s(2) + s(3))
-    raise ValueError(f"unknown special case {case!r}")
+    n: int
+    k: int
+    lemma31: bool
+    lemma32: bool
+    theta1: Fraction
+    theta2: Fraction
+    f_scan: bool
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.lemma31
+            and self.lemma32
+            and 0 < self.theta1 < 1
+            and self.theta2 > 0
+            and self.f_scan
+        )
+
+
+def window_check(n: int, k: int) -> WindowCheck:
+    """Lemma 3.1, lemma 3.2, 0 < theta1 < 1, theta2 > 0 and the f-scan
+    of n, for one window."""
+    consts = cert_constants(n, k)
+    return WindowCheck(
+        n,
+        k,
+        lemma31_check(n, k).all_positive,
+        lemma32_check(n, k).all_positive,
+        consts.theta1,
+        consts.theta2,
+        _f_scan_passes(n),
+    )
+
+
+def is_special_window(n: int, k: int) -> bool:
+    """The windows k = 0, k = n-1 and (n, k) = (3, 1), which lie outside
+    the certificate's range and take theta = 1/2 instead."""
+    return k == 0 or k == n - 1 or (n, k) == (3, 1)
 
 
 def theta_for(n: int, k: int) -> Fraction:
@@ -420,6 +438,6 @@ def theta_for(n: int, k: int) -> Fraction:
     """
     if n < 3 or not 0 <= k <= n - 1:
         raise ValueError(f"theta_for needs n >= 3 and 0 <= k <= n-1, got ({n}, {k})")
-    if k == 0 or k == n - 1 or (n, k) == (3, 1):
+    if is_special_window(n, k):
         return Fraction(1, 2)
     return cert_constants(n, k).theta1

@@ -19,13 +19,10 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .certificate import (
-    SpecialCase,
     cert_constants,
-    f_scan,
-    lemma31_check,
-    lemma32_check,
-    special_case_gap,
+    is_special_window,
     theta_for,
+    window_check,
 )
 from .core import as_rational, format_point, parse_point, sigma_all
 from .gaps import (
@@ -124,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ineq",
         required=True,
-        choices=("newton", "gen-nm", "combo", "quantitative", "liu-ren", "remark", "special"),
+        choices=("newton", "gen-nm", "combo", "quantitative", "liu-ren", "remark"),
     )
     p.add_argument("--x", default=None)
     p.add_argument("--coeffs", default=None, help="JSON array of strings")
@@ -132,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--case", choices=[c.value for c in SpecialCase], default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("chain", help="Maclaurin chain (classical, or generalized with --alpha)")
@@ -306,6 +302,8 @@ def _cmd_sigma(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool]
 
 def _cmd_verify(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool]:
     ineq = args.ineq
+    if config.theta is not None and ineq != "quantitative":
+        raise ValueError(f"--theta applies only to --ineq quantitative, not {ineq}")
     if ineq == "newton":
         _require(config, "x", "k")
         report = newton_gap(config.x, config.k)
@@ -347,19 +345,6 @@ def _cmd_verify(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool
         witness = remark_violation(config.n, config.k)
         report = witness.report
         payload = {"ineq": ineq, "witness": witness.to_json_dict()}
-    elif ineq == "special":
-        _require(config, "x", "alpha")
-        if args.case is None:
-            raise ValueError("--case is required for --ineq special")
-        gap = special_case_gap(config.x, config.alpha, SpecialCase(args.case))
-        payload = {
-            "ineq": ineq,
-            "case": args.case,
-            "x": format_point(config.x),
-            "alpha": str(config.alpha),
-            "gap": str(gap),
-        }
-        return payload, gap < 0
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown inequality {ineq!r}")
     return payload, report.relation is Relation.NEGATIVE
@@ -394,23 +379,18 @@ def _cmd_lemmas(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool
     rows = []
     all_pass = True
     for n in range(4, config.n_max + 1):
-        scan_rows = f_scan(n)
-        f_pass = all(row.all_positive for row in scan_rows)
         for k in range(1, n - 1):
-            first = lemma31_check(n, k)
-            second = lemma32_check(n, k)
-            theta1 = cert_constants(n, k).theta1
-            ok = first.all_positive and second.all_positive and 0 < theta1 < 1 and f_pass
-            all_pass = all_pass and ok
+            check = window_check(n, k)
+            all_pass = all_pass and check.passed
             rows.append(
                 {
                     "n": n,
                     "k": k,
-                    "lemma31": first.all_positive,
-                    "lemma32": second.all_positive,
-                    "theta1": str(theta1),
-                    "f_scan": f_pass,
-                    "pass": ok,
+                    "lemma31": check.lemma31,
+                    "lemma32": check.lemma32,
+                    "theta1": str(check.theta1),
+                    "f_scan": check.f_scan,
+                    "pass": check.passed,
                 }
             )
     payload = {"n_max": config.n_max, "pairs": len(rows), "all_pass": all_pass, "rows": rows}
@@ -434,12 +414,11 @@ def _cmd_reduce(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool
 def _cmd_theta(config: RunConfig, args: argparse.Namespace) -> tuple[dict, bool]:
     _require(config, "n", "k")
     value = theta_for(config.n, config.k)
-    special = config.k == 0 or config.k == config.n - 1 or (config.n, config.k) == (3, 1)
     payload = {
         "n": config.n,
         "k": config.k,
         "theta": str(value),
-        "source": "special-case" if special else "certificate",
+        "source": "special-case" if is_special_window(config.n, config.k) else "certificate",
     }
     return payload, False
 
@@ -504,32 +483,22 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     theta_rows = []
     for n in range(3, n_max + 1):
         for k in range(n):
-            special = k == 0 or k == n - 1 or (n, k) == (3, 1)
             theta_rows.append(
                 {
                     "n": n,
                     "k": k,
                     "theta": str(theta_for(n, k)),
-                    "source": "special-case" if special else "certificate",
+                    "source": "special-case" if is_special_window(n, k) else "certificate",
                 }
             )
 
     certificate_rows = []
     lemmas_pass = True
     for n in range(4, n_max + 1):
-        f_pass = all(row.all_positive for row in f_scan(n))
         for k in range(1, n - 1):
-            constants = cert_constants(n, k)
-            first = lemma31_check(n, k)
-            second = lemma32_check(n, k)
-            ok = (
-                first.all_positive
-                and second.all_positive
-                and 0 < constants.theta1 < 1
-                and f_pass
-            )
+            ok = window_check(n, k).passed
             lemmas_pass = lemmas_pass and ok
-            certificate_rows.append({**constants.to_json_dict(), "pass": ok})
+            certificate_rows.append({**cert_constants(n, k).to_json_dict(), "pass": ok})
 
     rng = random.Random(seed)
 

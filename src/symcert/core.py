@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,6 +21,12 @@ RationalLike = Union[Fraction, int, str]
 
 # sigma_naive enumerates 2^n subsets; refuse anything bigger than this.
 NAIVE_LIMIT = 20
+
+# Fraction("1e<e>") builds 10**|e| exactly, which takes seconds once |e|
+# reaches the millions, so decimal exponents past this bound are refused
+# before parsing.  The bound is Python's default limit on int string digits.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -33,8 +40,17 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
+            # lengths first, so a huge digit string is never converted
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent in {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as an exact rational") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

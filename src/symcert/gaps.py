@@ -72,14 +72,15 @@ class GapReport:
         }
 
 
-def _classify_two_term(point, e, alpha: Fraction, k: int, gap: Fraction) -> EqualityCase:
-    """Equality label for the two-term gap at window index k.
+def _classify_two_term(point, e, alpha: Fraction, k: int, equal: bool) -> EqualityCase:
+    """Equality label for the two-term gap at window index k, given
+    whether the gap is zero.
 
     The ratio condition is checked in cross-multiplied form so zero
     denominators never need dividing: s = -alpha*p and q = -alpha*s for
     the three consecutive window terms p, s, q.
     """
-    if gap != 0:
+    if not equal:
         return EqualityCase.STRICT
     if all(v == point[0] for v in point):
         return EqualityCase.ALL_EQUAL
@@ -103,17 +104,8 @@ def newton_gap(x: Iterable[RationalLike], k: int) -> GapReport:
     e = sigma_all(point).e_at
     lhs = e(k) ** 2
     rhs = e(k - 1) * e(k + 1)
-    gap = lhs - rhs
-    case = _classify_two_term(point, e, Fraction(0), k - 1, gap)
-    return GapReport(lhs, rhs, gap, _relation_of(gap), case)
-
-
-def _relation_of(gap: Fraction) -> Relation:
-    if gap > 0:
-        return Relation.STRICTLY_POSITIVE
-    if gap == 0:
-        return Relation.ZERO
-    return Relation.NEGATIVE
+    case = _classify_two_term(point, e, Fraction(0), k - 1, lhs == rhs)
+    return GapReport.from_sides(lhs, rhs, case)
 
 
 def maclaurin_chain_check(x: Iterable[RationalLike]) -> bool:
@@ -146,8 +138,7 @@ def gen_nm_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRep
     e = sigma_all(point).e_at
     lhs = (a * e(k) + e(k + 1)) ** 2
     rhs = (a * e(k - 1) + e(k)) * (a * e(k + 1) + e(k + 2))
-    gap = lhs - rhs
-    return GapReport(lhs, rhs, gap, _relation_of(gap), _classify_two_term(point, e, a, k, gap))
+    return GapReport.from_sides(lhs, rhs, _classify_two_term(point, e, a, k, lhs == rhs))
 
 
 @dataclass(frozen=True)

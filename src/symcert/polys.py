@@ -164,15 +164,6 @@ def real_root_count_with_multiplicity(p: Sequence[Fraction]) -> int:
 # zero coefficients are never stored.
 
 
-def mp_zero() -> MPoly:
-    return {}
-
-
-def mp_const(c) -> MPoly:
-    c = Fraction(c)
-    return {(0, 0, 0, 0): c} if c else {}
-
-
 def mp_var(index: int) -> MPoly:
     key = [0, 0, 0, 0]
     key[index] = 1
@@ -215,13 +206,6 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
                 out[key] = new
             else:
                 out.pop(key, None)
-    return out
-
-
-def mp_pow(a: MPoly, exponent: int) -> MPoly:
-    out = mp_const(1)
-    for _ in range(exponent):
-        out = mp_mul(out, a)
     return out
 
 

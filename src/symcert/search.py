@@ -4,18 +4,16 @@ Candidates come from seeded floating-point sampling, but nothing is ever
 reported from float evidence: every would-be witness is rationalized by
 continued fractions and re-verified in exact arithmetic first.  Sampling
 is keyed per iteration, so identical (seed, budget, parameters) produce
-identical reports for any worker count.
+identical reports.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence
 
 from .certificate import theta_for
 from .core import RationalLike, as_rational, sigma_all
@@ -23,10 +21,7 @@ from .gaps import linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
-_CHUNK = 64
 _WITNESS_CAP = 10
-
-T = TypeVar("T")
 
 
 class CertificateViolation(RuntimeError):
@@ -39,27 +34,6 @@ class CertificateViolation(RuntimeError):
 
 class AllSamplesDegenerate(RuntimeError):
     """Every sampled ratio had a vanishing denominator."""
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SYMCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn: Callable[[int], T], count: int) -> list[T]:
-    """fn over 0..count-1, output in index order.
-
-    Honors SYMCERT_THREADS; results are identical for any worker count
-    because every iteration derives its own generator from (seed, i).
-    """
-    workers = _worker_count()
-    if workers <= 1 or count < 2:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _rng_for(seed: int, iteration: int) -> random.Random:
@@ -179,15 +153,15 @@ def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Optional[W
 
     Deterministic given (m, n, seed, budget).  Anchor candidates are
     probed first, then seeded random sampling with greedy refinement of
-    promising candidates; any hit is confirmed exactly before return.
+    promising candidates.  Iterations run in order and the first hit,
+    confirmed exactly, is returned at once.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 coefficients and n >= 1 entries")
     anchors = _anchor_candidates(m, n)
-
-    def probe(iteration: int) -> Optional[Witness]:
+    for iteration in range(budget):
         if iteration < len(anchors):
             coeffs, point = anchors[iteration]
         else:
@@ -198,22 +172,11 @@ def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Optional[W
             if estimate >= 0:
                 scale = abs(estimate) + sum(abs(float(v)) for v in point) + 1.0
                 if estimate > 0.02 * scale:
-                    return None
+                    continue
                 point = _refine_point(rng, point, coeffs)
         report = linear_combo_gap(point, coeffs)
         if report.gap < 0:
             return Witness(point, coeffs, None, None, report.gap, "Conjecture15", seed, iteration)
-        return None
-
-    done = 0
-    while done < budget:
-        block = min(_CHUNK, budget - done)
-        offset = done
-        results = _map_indexed(lambda j: probe(offset + j), block)
-        for witness in results:
-            if witness is not None:
-                return witness
-        done += block
     return None
 
 
@@ -256,8 +219,10 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
     if n < 3 or not 0 <= k <= n - 1:
         raise ValueError(f"need n >= 3 and 0 <= k <= n-1, got ({n}, {k})")
     certified = theta_for(n, k)
-
-    def sample(i: int) -> Optional[tuple[Fraction, tuple[Fraction, ...], Fraction]]:
+    skipped = 0
+    min_ratio: Optional[Fraction] = None
+    argmin: Optional[Witness] = None
+    for i in range(samples):
         rng = _rng_for(seed, i)
         alpha = _sample_entry(rng, negative_rate=0.5)
         if i % 8 == 7:
@@ -270,19 +235,9 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
         s = sigma_all(point).sigma_at
         denominator = alpha * s(k) + s(k + 1)
         if denominator == 0:
-            return None
-        ratio = 1 - (alpha * s(k - 1) + s(k)) * (alpha * s(k + 1) + s(k + 2)) / denominator**2
-        return ratio, point, alpha
-
-    results = _map_indexed(sample, samples)
-    skipped = 0
-    min_ratio: Optional[Fraction] = None
-    argmin: Optional[Witness] = None
-    for i, result in enumerate(results):
-        if result is None:
             skipped += 1
             continue
-        ratio, point, alpha = result
+        ratio = 1 - (alpha * s(k - 1) + s(k)) * (alpha * s(k + 1) + s(k + 2)) / denominator**2
         if ratio < certified:
             raise CertificateViolation(
                 f"ratio {ratio} below certified theta {certified} at (n, k) = ({n}, {k}); "

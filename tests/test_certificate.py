@@ -2,15 +2,15 @@
 (random points and full coefficient matching), the positivity lemma
 scans, and the certified theta table."""
 
+import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import rationals, triples
+from conftest import points, rationals, triples
 from symcert.certificate import (
-    SpecialCase,
     binom_quad,
     cert_constants,
     decomposition_coefficient_match,
@@ -20,16 +20,18 @@ from symcert.certificate import (
     f3,
     f4,
     f_scan,
+    is_special_window,
     l_value,
     lemma31_check,
     lemma32_check,
-    special_case_gap,
     theta_for,
     v_value,
     w_value,
     w_value_expanded,
+    window_check,
 )
 from symcert.core import sigma_all
+from symcert.gaps import quantitative_gap
 
 F = Fraction
 
@@ -198,6 +200,22 @@ class TestLemmaScans:
                 assert consts.theta2 > 0
                 quad = consts.quad
                 assert quad.b * quad.c < 9 * quad.a * quad.d
+                assert window_check(n, k).passed
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lemma31", False),
+            ("lemma32", False),
+            ("theta1", F(0)),
+            ("theta1", F(1)),
+            ("theta2", F(0)),
+            ("f_scan", False),
+        ],
+    )
+    def test_window_check_fails_on_any_check(self, field, value):
+        check = dataclasses.replace(window_check(5, 2), **{field: value})
+        assert check.passed is False
 
 
 class TestFScan:
@@ -229,32 +247,41 @@ class TestFScan:
 
 
 class TestSpecialCases:
+    """The special windows k = 0, k = n-1 and (3, 1) are the quantitative
+    gap at theta_for = 1/2."""
+
+    @staticmethod
+    def gap(point, alpha, k):
+        return quantitative_gap(point, alpha, k, theta_for(len(point), k)).gap
+
     def test_k0_value(self):
-        assert special_case_gap((1, 2, 3), -1, SpecialCase.K0) == F(15, 2)
+        assert self.gap((1, 2, 3), -1, 0) == F(15, 2)
 
     def test_k0_degenerate_zero(self):
-        assert special_case_gap((0, 0, 0), 0, SpecialCase.K0) == 0
+        assert self.gap((0, 0, 0), 0, 0) == 0
 
     def test_n3k1_value(self):
-        assert special_case_gap((1, 2, 3), 1, SpecialCase.N3K1) == F(51, 2)
+        assert self.gap((1, 2, 3), 1, 1) == F(51, 2)
 
-    @given(triples, rationals)
+    @given(points, rationals)
     def test_k0_identity(self, point, alpha):
-        gap = special_case_gap(point, alpha, SpecialCase.K0)
+        gap = self.gap(point, alpha, 0)
         assert gap == alpha**2 / 2 + sum(v**2 for v in point) / 2
         assert gap >= 0
 
-    @given(triples, rationals)
+    @given(points, rationals)
     def test_kn1_nonnegative(self, point, alpha):
-        assert special_case_gap(point, alpha, SpecialCase.KN1) >= 0
+        assert self.gap(point, alpha, len(point) - 1) >= 0
 
     @given(triples, rationals)
     def test_n3k1_nonnegative(self, point, alpha):
-        assert special_case_gap(point, alpha, SpecialCase.N3K1) >= 0
+        assert self.gap(point, alpha, 1) >= 0
 
     def test_n3k1_arity(self):
-        with pytest.raises(ValueError):
-            special_case_gap((1, 2, 3, 4), 1, SpecialCase.N3K1)
+        # (n, 1) is special only for 3-tuples; longer points take theta1
+        assert is_special_window(3, 1)
+        assert not is_special_window(4, 1)
+        assert theta_for(4, 1) == cert_constants(4, 1).theta1 != F(1, 2)
 
 
 class TestThetaFor:

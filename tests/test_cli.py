@@ -2,8 +2,16 @@
 precedence, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from symcert.certificate import window_check
 from symcert.cli import report_bundle, run
 
 F = Fraction
@@ -79,13 +87,38 @@ class TestVerify:
         assert data["witness"]["x"] == ["2", "2", "2"]
 
     def test_special_case(self, capsys):
-        code, data, _ = invoke_json(
+        # the special windows are the quantitative gap at theta 1/2, not an ineq of their own
+        code, out, _ = invoke(
             capsys,
             "verify", "--ineq", "special",
             "--x", '["1","2","3"]', "--alpha", "-1", "--case", "K0",
         )
+        assert code == 2
+        assert out == ""
+        code, data, _ = invoke_json(
+            capsys,
+            "verify", "--ineq", "quantitative",
+            "--x", '["1","2","3"]', "--alpha", "-1", "--k", "0",
+        )
         assert code == 0
-        assert data["gap"] == "15/2"
+        assert data["theta"] == "1/2"
+        assert data["report"]["gap"] == "15/2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ineq", "newton", "--x", '["1","2","3"]', "--k", "1"],
+            ["--ineq", "gen-nm", "--x", '["4","4","1/4","1/4"]', "--alpha", "1", "--k", "1"],
+            ["--ineq", "combo", "--x", '["4","4","1/4","1/4"]', "--coeffs", '["1","0","1"]'],
+            ["--ineq", "liu-ren", "--x", '["1","2","3"]', "--alpha", "1", "--k", "2"],
+            ["--ineq", "remark", "--n", "3", "--k", "0"],
+        ],
+    )
+    def test_theta_rejected_outside_quantitative(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", *argv, "--theta", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --theta applies only to --ineq quantitative, not {argv[1]}\n"
 
     def test_liu_ren_precondition_error(self, capsys):
         code, out, err = invoke(
@@ -129,6 +162,13 @@ class TestCertificateCommands:
         code, data, _ = invoke_json(capsys, "theta", "--n", "3", "--k", "1")
         assert code == 0
         assert data == {"n": 3, "k": 1, "theta": "1/2", "source": "special-case"}
+
+    def test_pass_fields_are_window_check(self, capsys):
+        _, lemmas, _ = invoke_json(capsys, "lemmas", "--n-max", "10")
+        _, report, _ = invoke_json(capsys, "report", "--n-max", "10", "--samples", "1")
+        assert len(lemmas["rows"]) == len(report["certificates"]) == sum(n - 2 for n in range(4, 11))
+        for row in lemmas["rows"] + report["certificates"]:
+            assert row["pass"] is window_check(row["n"], row["k"]).passed
 
     def test_lemmas_without_windows_rejected(self, capsys):
         for n_max in ("3", "2", "-1"):
@@ -261,6 +301,22 @@ class TestErrorPaths:
         code, _, err = invoke(capsys, "verify", "--ineq", "newton", "--x", "oops", "--k", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_huge_exponent_rejected_at_once(self):
+        # parsing would build 10**(10**9); the exponent bound refuses it first
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "symcert", "sigma", "--x", '["1e1000000000"]'],
+            capture_output=True,
+            text=True,
+            timeout=2,
+            env=env,
+        )
+        assert time.perf_counter() - start < 2
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: decimal exponent in '1e1000000000' exceeds 4300 in magnitude\n"
 
     def test_float_entry_rejected(self, capsys):
         code, _, err = invoke(capsys, "sigma", "--x", "[0.1]")

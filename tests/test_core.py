@@ -155,6 +155,10 @@ class TestParsing:
             ("-3/7", F(-3, 7)),
             ("4", F(4)),
             ("1.5e-3", F(3, 2000)),
+            ("1e-3", F(1, 1000)),
+            ("2.5E+2", F(250)),
+            ("1e4300", F(10**4300)),
+            ("-1E-4300", F(-1, 10**4300)),
         ],
     )
     def test_parse_rational(self, text, value):
@@ -163,6 +167,11 @@ class TestParsing:
     def test_parse_rational_rejects_garbage(self):
         with pytest.raises(ValueError):
             as_rational("pi")
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "2.5E+1_000_000", "1e1000000000"])
+    def test_parse_rational_bounds_exponent(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            as_rational(text)
 
     def test_parse_point_literal(self):
         assert parse_point('["4","4","1/4","1/4"]') == (F(4), F(4), F(1, 4), F(1, 4))
