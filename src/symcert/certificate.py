@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from . import polys
 from .core import RationalLike, as_rational, as_triple, binomial
+from .polys import MPoly
 
 
 def _check_general_range(n: int, k: int) -> None:
@@ -100,22 +100,53 @@ def cert_constants(n: int, k: int) -> CertConstants:
     return CertConstants(n, k, quad, theta1, theta2, t, A1, A2, A3)
 
 
-def _sigma123(z: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    z1, z2, z3 = z
+# L, W, V and the residual, written once over plain scalars so that the
+# same code evaluates at Fractions and expands over polys.MPoly variables.
+
+
+def _sigmas(z1, z2, z3):
     return z1 + z2 + z3, z1 * z2 + z1 * z3 + z2 * z3, z1 * z2 * z3
+
+
+def _head(s1, s2, alpha, quad: BinomQuad):
+    return alpha * quad.b * s1 + quad.c * s2
+
+
+def _l(z1, z2, z3, alpha, quad: BinomQuad):
+    s1, s2, s3 = _sigmas(z1, z2, z3)
+    return _head(s1, s2, alpha, quad) ** 2 - (3 * alpha * quad.a + quad.b * s1) * (
+        alpha * quad.c * s2 + 3 * quad.d * s3
+    )
+
+
+def _w(z1, z2, z3, alpha, t):
+    return (
+        (z1 - z2) ** 2 * (alpha + t * z3) ** 2
+        + (z1 - z3) ** 2 * (alpha + t * z2) ** 2
+        + (z2 - z3) ** 2 * (alpha + t * z1) ** 2
+    )
+
+
+def _v(z1, z2, z3, alpha, consts: CertConstants):
+    sum_sq = z1**2 + z2**2 + z3**2
+    pair_sq = z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2
+    return consts.A1 * alpha**2 * sum_sq + consts.A2 * pair_sq + consts.A3 * alpha * z1 * z2 * z3
+
+
+def _residual(z1, z2, z3, alpha, consts: CertConstants):
+    s1, s2, _ = _sigmas(z1, z2, z3)
+    return (
+        _l(z1, z2, z3, alpha, consts.quad)
+        - consts.theta1 * _head(s1, s2, alpha, consts.quad) ** 2
+        - consts.theta2 * _w(z1, z2, z3, alpha, consts.t)
+        - _v(z1, z2, z3, alpha, consts)
+    )
 
 
 def w_value(z: Iterable[RationalLike], alpha: RationalLike, t: RationalLike) -> Fraction:
     """W(z, t) = sum over pairs of (z_i - z_j)^2 (alpha + t z_l)^2, the
     manifestly nonnegative square form."""
-    z1, z2, z3 = as_triple(z)
-    a = as_rational(alpha)
-    t = as_rational(t)
-    return (
-        (z1 - z2) ** 2 * (a + t * z3) ** 2
-        + (z1 - z3) ** 2 * (a + t * z2) ** 2
-        + (z2 - z3) ** 2 * (a + t * z1) ** 2
-    )
+    return _w(*as_triple(z), as_rational(alpha), as_rational(t))
 
 
 def w_value_expanded(z: Iterable[RationalLike], alpha: RationalLike, t: RationalLike) -> Fraction:
@@ -126,11 +157,10 @@ def w_value_expanded(z: Iterable[RationalLike], alpha: RationalLike, t: Rational
 
     Agreement with w_value is itself a checked identity.
     """
-    triple = as_triple(z)
+    z1, z2, z3 = as_triple(z)
     a = as_rational(alpha)
     t = as_rational(t)
-    s1, s2, s3 = _sigma123(triple)
-    z1, z2, z3 = triple
+    s1, s2, s3 = _sigmas(z1, z2, z3)
     sum_sq = z1**2 + z2**2 + z3**2
     pair_sq = z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2
     return (
@@ -149,24 +179,13 @@ def v_value(z: Iterable[RationalLike], alpha: RationalLike, consts: CertConstant
     Nonnegative for in-range constants: A1 a^2 z_i^2 + A2 z_p^2 z_q^2 >=
     2 sqrt(A1 A2) |a s3| > |A3 a s3| / 3 for each of the three pairings.
     """
-    z1, z2, z3 = as_triple(z)
-    a = as_rational(alpha)
-    sum_sq = z1**2 + z2**2 + z3**2
-    pair_sq = z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2
-    s3 = z1 * z2 * z3
-    return consts.A1 * a**2 * sum_sq + consts.A2 * pair_sq + consts.A3 * a * s3
+    return _v(*as_triple(z), as_rational(alpha), consts)
 
 
 def l_value(z: Iterable[RationalLike], alpha: RationalLike, n: int, k: int) -> Fraction:
     """The reduced three-variable gap
     (alpha*b*s1 + c*s2)^2 - (3*alpha*a + b*s1)(alpha*c*s2 + 3*d*s3)."""
-    quad = binom_quad(n, k)
-    triple = as_triple(z)
-    a = as_rational(alpha)
-    s1, s2, s3 = _sigma123(triple)
-    return (a * quad.b * s1 + quad.c * s2) ** 2 - (3 * a * quad.a + quad.b * s1) * (
-        a * quad.c * s2 + 3 * quad.d * s3
-    )
+    return _l(*as_triple(z), as_rational(alpha), binom_quad(n, k))
 
 
 def decomposition_residual(
@@ -179,85 +198,19 @@ def decomposition_residual(
     matching.
     """
     consts = cert_constants(n, k)
-    quad = consts.quad
-    triple = as_triple(z)
-    a = as_rational(alpha)
-    s1, s2, _ = _sigma123(triple)
-    head = (a * quad.b * s1 + quad.c * s2) ** 2
-    return (
-        l_value(triple, a, n, k)
-        - consts.theta1 * head
-        - consts.theta2 * w_value(triple, a, consts.t)
-        - v_value(triple, a, consts)
-    )
+    return _residual(*as_triple(z), as_rational(alpha), consts)
 
 
 def decomposition_coefficient_match(n: int, k: int) -> bool:
     """Expand the decomposition residual symbolically in (z1, z2, z3, alpha)
     and verify that every monomial coefficient vanishes.
 
+    The expansion runs the very helpers decomposition_residual evaluates,
+    over polys.MPoly variables, so it proves the identity for that code.
     Conclusive where random-point sampling could in principle miss a
     measure-zero discrepancy.
     """
-    consts = cert_constants(n, k)
-    quad = consts.quad
-    z1, z2, z3, al = (polys.mp_var(i) for i in range(4))
-
-    s1 = polys.mp_add(polys.mp_add(z1, z2), z3)
-    s2 = polys.mp_add(
-        polys.mp_add(polys.mp_mul(z1, z2), polys.mp_mul(z1, z3)), polys.mp_mul(z2, z3)
-    )
-    s3 = polys.mp_mul(polys.mp_mul(z1, z2), z3)
-
-    head = polys.mp_add(polys.mp_scale(polys.mp_mul(al, s1), quad.b), polys.mp_scale(s2, quad.c))
-    head_sq = polys.mp_mul(head, head)
-    left = polys.mp_add(polys.mp_scale(al, 3 * quad.a), polys.mp_scale(s1, quad.b))
-    right = polys.mp_add(
-        polys.mp_scale(polys.mp_mul(al, s2), quad.c), polys.mp_scale(s3, 3 * quad.d)
-    )
-    big_l = polys.mp_sub(head_sq, polys.mp_mul(left, right))
-
-    def shifted_square(zi: polys.MPoly) -> polys.MPoly:
-        term = polys.mp_add(al, polys.mp_scale(zi, consts.t))
-        return polys.mp_mul(term, term)
-
-    def diff_square(za: polys.MPoly, zb: polys.MPoly) -> polys.MPoly:
-        diff = polys.mp_sub(za, zb)
-        return polys.mp_mul(diff, diff)
-
-    w_poly = polys.mp_add(
-        polys.mp_add(
-            polys.mp_mul(diff_square(z1, z2), shifted_square(z3)),
-            polys.mp_mul(diff_square(z1, z3), shifted_square(z2)),
-        ),
-        polys.mp_mul(diff_square(z2, z3), shifted_square(z1)),
-    )
-
-    sum_sq = polys.mp_add(polys.mp_add(polys.mp_mul(z1, z1), polys.mp_mul(z2, z2)), polys.mp_mul(z3, z3))
-    pair_sq = polys.mp_add(
-        polys.mp_add(
-            polys.mp_mul(polys.mp_mul(z1, z1), polys.mp_mul(z2, z2)),
-            polys.mp_mul(polys.mp_mul(z1, z1), polys.mp_mul(z3, z3)),
-        ),
-        polys.mp_mul(polys.mp_mul(z2, z2), polys.mp_mul(z3, z3)),
-    )
-    al_sq = polys.mp_mul(al, al)
-    v_poly = polys.mp_add(
-        polys.mp_add(
-            polys.mp_scale(polys.mp_mul(al_sq, sum_sq), consts.A1),
-            polys.mp_scale(pair_sq, consts.A2),
-        ),
-        polys.mp_scale(polys.mp_mul(al, s3), consts.A3),
-    )
-
-    residual = polys.mp_sub(
-        polys.mp_sub(
-            polys.mp_sub(big_l, polys.mp_scale(head_sq, consts.theta1)),
-            polys.mp_scale(w_poly, consts.theta2),
-        ),
-        v_poly,
-    )
-    return polys.mp_is_zero(residual)
+    return not _residual(*MPoly.variables(4), cert_constants(n, k))
 
 
 @dataclass(frozen=True)

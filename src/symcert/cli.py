@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__
 from .certificate import (
     cert_constants,
+    decomposition_residual,
     is_special_window,
     theta_for,
     window_check,
@@ -54,15 +56,15 @@ _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "
 @dataclass
 class RunConfig:
     """Effective options for one invocation; flags beat the config file,
-    which beats the defaults.  Parsed numeric inputs are exact and
+    which beats _DEFAULTS.  Parsed numeric inputs are exact and
     round-trip to their string forms."""
 
     command: str
-    format: str = "json"
-    seed: int = 0
-    budget: int = 1000
-    samples: int = 1000
-    n_max: int = 8
+    format: str
+    seed: int
+    budget: int
+    samples: int
+    n_max: int
     x: Optional[tuple[Fraction, ...]] = None
     coeffs: Optional[tuple[Fraction, ...]] = None
     alpha: Optional[Fraction] = None
@@ -70,7 +72,6 @@ class RunConfig:
     n: Optional[int] = None
     k: Optional[int] = None
     m: Optional[int] = None
-    extra: dict = field(default_factory=dict)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -470,11 +471,6 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     Identical configuration produces a byte-identical document; the
     configuration and seeds are embedded so the claim is checkable.
     """
-    import random
-
-    from .certificate import decomposition_residual
-    from .gaps import gen_nm_gap as _gen_nm
-
     if n_max < 3:
         raise ValueError(f"report needs n_max >= 3, got {n_max}")
     if samples < 1:
@@ -511,7 +507,7 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
         n = rng.randint(3, max(3, min(n_max, 8)))
         point = tuple(rand_fraction() for _ in range(n))
         k = rng.randint(1, n - 2)
-        gap = _gen_nm(point, rand_fraction(), k).gap
+        gap = gen_nm_gap(point, rand_fraction(), k).gap
         if gap >= 0:
             gen_nm_nonneg += 1
         if gap == 0:

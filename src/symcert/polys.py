@@ -9,19 +9,20 @@ a rational p/q come from homogeneous integer Horner evaluation.  Every
 entry is therefore a positive multiple of the classical -rem chain
 entry, so every sign and sign-change count is the classical one, and
 the last entry is gcd(p, p') up to a constant factor.  Floating point
-never enters a verdict.  A small four-variable polynomial type supports
-exact coefficient matching of algebraic identities.
+never enters a verdict.  MPoly, a polynomial in any fixed number of
+variables with arithmetic operators, expands algebraic identities so
+that every coefficient can be matched exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 Poly = List[Fraction]
 IntPoly = List[int]
-MPoly = Dict[Tuple[int, int, int, int], Fraction]
 
 
 def trim(p: Sequence[Fraction]) -> Poly:
@@ -158,56 +159,84 @@ def real_root_count_with_multiplicity(p: Sequence[Fraction]) -> int:
     return _distinct_real_roots(chain) + real_root_count_with_multiplicity(chain[-1])
 
 
-# -- four-variable polynomials for exact coefficient matching -------------
-#
-# Exponent keys are (z1, z2, z3, alpha); coefficients are Fractions and
-# zero coefficients are never stored.
+# -- multivariate polynomials for exact coefficient matching -------------
 
 
-def mp_var(index: int) -> MPoly:
-    key = [0, 0, 0, 0]
-    key[index] = 1
-    return {tuple(key): Fraction(1)}
+class MPoly:
+    """A polynomial over the rationals in a fixed number of variables.
 
+    `terms` maps exponent tuples, one entry per variable, to nonzero
+    Fraction coefficients.  It supports +, -, * and ** by a nonnegative
+    int, with int or Fraction constants on either side; it is truthy
+    exactly when it is not the zero polynomial.
+    """
 
-def mp_add(a: MPoly, b: MPoly) -> MPoly:
-    out = dict(a)
-    for key, coef in b.items():
-        new = out.get(key, Fraction(0)) + coef
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
+    __slots__ = ("arity", "terms")
 
+    def __init__(self, arity: int, terms: dict[tuple[int, ...], Fraction]) -> None:
+        self.arity = arity
+        self.terms = terms
 
-def mp_neg(a: MPoly) -> MPoly:
-    return {key: -coef for key, coef in a.items()}
+    @classmethod
+    def variables(cls, count: int) -> tuple[MPoly, ...]:
+        """The variables x_0 .. x_{count-1} of the count-variable ring."""
+        return tuple(
+            cls(count, {tuple(int(i == j) for j in range(count)): Fraction(1)})
+            for i in range(count)
+        )
 
+    def _lift(self, other: MPoly | int | Fraction) -> MPoly:
+        if isinstance(other, MPoly):
+            if other.arity != self.arity:
+                raise ValueError(f"MPoly arity mismatch: {self.arity} and {other.arity}")
+            return other
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError(f"MPoly combines with int or Fraction, not {type(other).__name__}")
+        return self._collect([((0,) * self.arity, Fraction(other))])
 
-def mp_sub(a: MPoly, b: MPoly) -> MPoly:
-    return mp_add(a, mp_neg(b))
-
-
-def mp_scale(a: MPoly, c) -> MPoly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {key: coef * c for key, coef in a.items()}
-
-
-def mp_mul(a: MPoly, b: MPoly) -> MPoly:
-    out: MPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-            new = out.get(key, Fraction(0)) + ca * cb
-            if new:
-                out[key] = new
+    def _collect(self, terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> MPoly:
+        """Sum like terms and drop the zero coefficients."""
+        out: dict[tuple[int, ...], Fraction] = {}
+        for key, coef in terms:
+            if key in out:
+                out[key] += coef
             else:
-                out.pop(key, None)
-    return out
+                out[key] = coef
+        return MPoly(self.arity, {key: coef for key, coef in out.items() if coef})
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
-def mp_is_zero(a: MPoly) -> bool:
-    return all(coef == 0 for coef in a.values())
+    def __neg__(self) -> MPoly:
+        return MPoly(self.arity, {key: -coef for key, coef in self.terms.items()})
+
+    def __add__(self, other: MPoly | int | Fraction) -> MPoly:
+        return self._collect([*self.terms.items(), *self._lift(other).terms.items()])
+
+    __radd__ = __add__
+
+    def __sub__(self, other: MPoly | int | Fraction) -> MPoly:
+        return self + -self._lift(other)
+
+    def __rsub__(self, other: int | Fraction) -> MPoly:
+        return -self + other
+
+    def __mul__(self, other: MPoly | int | Fraction) -> MPoly:
+        right = self._lift(other).terms.items()
+        return self._collect(
+            (tuple(map(operator.add, ka, kb)), ca * cb)
+            for ka, ca in self.terms.items()
+            for kb, cb in right
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> MPoly:
+        if exponent < 0:
+            raise ValueError(f"MPoly powers need a nonnegative exponent, got {exponent}")
+        if exponent == 0:
+            return self._lift(1)
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
+        return out

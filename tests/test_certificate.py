@@ -166,6 +166,14 @@ class TestDecomposition:
         for k in range(1, n - 1):
             assert decomposition_coefficient_match(n, k) is True
 
+    @pytest.mark.parametrize("name", ["theta1", "theta2", "t", "A1", "A2", "A3"])
+    def test_perturbed_constant_is_caught(self, monkeypatch, name):
+        exact = cert_constants(5, 2)
+        bumped = dataclasses.replace(exact, **{name: getattr(exact, name) + F(1, 10**6)})
+        monkeypatch.setattr("symcert.certificate.cert_constants", lambda n, k: bumped)
+        assert decomposition_coefficient_match(5, 2) is False
+        assert decomposition_residual((1, 2, 3), F(1, 3), 5, 2) != 0
+
 
 class TestLemmaScans:
     def test_lemma31_four_one(self):

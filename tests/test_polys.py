@@ -1,6 +1,7 @@
 """Sturm-kernel tests: real-rootedness and root counts on polynomials
 whose answer is known by construction, and the primitive-integer chain
-against the classical Fraction remainder chain it scales."""
+against the classical Fraction remainder chain it scales.  MPoly tests:
+exact expansion of small identities in 2 and 4 variables."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given
 
 from conftest import nonzero_rationals, rationals
 from symcert import polys
+from symcert.polys import MPoly
 
 F = Fraction
 
@@ -110,3 +112,43 @@ def test_known_cases(poly, real_rooted, distinct, with_multiplicity):
     assert polys.is_real_rooted(poly) == real_rooted
     assert polys.count_distinct_real_roots(poly) == distinct
     assert polys.real_root_count_with_multiplicity(poly) == with_multiplicity
+
+
+x, y = MPoly.variables(2)
+
+
+def test_mpoly_square_expands():
+    assert not (x + y) ** 2 - (x * x + 2 * x * y + y * y)
+
+
+def test_mpoly_cancellation_leaves_no_terms():
+    assert (x - x).terms == {}
+
+
+def test_mpoly_difference_of_squares():
+    assert ((x - y) * (x + y)).terms == {(2, 0): 1, (0, 2): -1}
+
+
+def test_mpoly_constants_on_either_side():
+    assert (3 * x).terms == (x * 3).terms == (x + x + x).terms
+    assert (F(1, 2) * x).terms == (x * F(1, 2)).terms == {(1, 0): F(1, 2)}
+
+
+@st.composite
+def mpolys(draw, arity):
+    """Sums of up to four rational multiples of monomials of degree <= 2
+    in each variable, built with the operators."""
+    variables = MPoly.variables(arity)
+    poly = 0 * variables[0]
+    for _ in range(draw(st.integers(0, 4))):
+        term = draw(rationals)
+        for v in variables:
+            term = term * v ** draw(st.integers(0, 2))
+        poly = poly + term
+    return poly
+
+
+@given(st.sampled_from([2, 4]).flatmap(lambda n: st.tuples(mpolys(n), mpolys(n), mpolys(n))))
+def test_mpoly_distributes(triple):
+    a, b, c = triple
+    assert not a * (b + c) - a * b - a * c
