@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .core import RationalLike, as_rational, as_triple, binomial
+from .core import JsonResult, RationalLike, as_rational, as_triple, binomial
 from .polys import MPoly
 
 
@@ -48,7 +48,7 @@ def binom_quad(n: int, k: int) -> BinomQuad:
 
 
 @dataclass(frozen=True)
-class CertConstants:
+class CertConstants(JsonResult):
     n: int
     k: int
     quad: BinomQuad
@@ -60,17 +60,9 @@ class CertConstants:
     A3: Fraction
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "binomials": {"a": self.quad.a, "b": self.quad.b, "c": self.quad.c, "d": self.quad.d},
-            "theta1": str(self.theta1),
-            "theta2": str(self.theta2),
-            "t": str(self.t),
-            "A1": str(self.A1),
-            "A2": str(self.A2),
-            "A3": str(self.A3),
-        }
+        data = super().to_json_dict(quad="binomials")
+        data["binomials"] = {"a": self.quad.a, "b": self.quad.b, "c": self.quad.c, "d": self.quad.d}
+        return data
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +206,7 @@ def decomposition_coefficient_match(n: int, k: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Lemma31Report:
+class Lemma31Report(JsonResult):
     """The three exact positivity quantities: 3bd - c^2, 3ac - b^2, and
     2ac^3 + 2b^3d - b^2c^2 - 3abcd."""
 
@@ -229,14 +221,8 @@ class Lemma31Report:
         return self.bd_term > 0 and self.ac_term > 0 and self.mixed_term > 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "3bd-c2": self.bd_term,
-            "3ac-b2": self.ac_term,
-            "2ac3+2b3d-b2c2-3abcd": self.mixed_term,
-            "pass": self.all_positive,
-        }
+        names = {"bd_term": "3bd-c2", "ac_term": "3ac-b2", "mixed_term": "2ac3+2b3d-b2c2-3abcd"}
+        return {**super().to_json_dict(**names), "pass": self.all_positive}
 
 
 def lemma31_check(n: int, k: int) -> Lemma31Report:
@@ -252,7 +238,7 @@ def lemma31_check(n: int, k: int) -> Lemma31Report:
 
 
 @dataclass(frozen=True)
-class Lemma32Report:
+class Lemma32Report(JsonResult):
     """Positivity of A1, A2 and the discriminant combination A1 A2 - A3^2/36."""
 
     n: int
@@ -266,14 +252,7 @@ class Lemma32Report:
         return self.A1 > 0 and self.A2 > 0 and self.discriminant_combo > 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "A1": str(self.A1),
-            "A2": str(self.A2),
-            "A1A2-A3^2/36": str(self.discriminant_combo),
-            "pass": self.all_positive,
-        }
+        return {**super().to_json_dict(discriminant_combo="A1A2-A3^2/36"), "pass": self.all_positive}
 
 
 def lemma32_check(n: int, k: int) -> Lemma32Report:
@@ -304,7 +283,7 @@ def f4(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class FScanRow:
+class FScanRow(JsonResult):
     k: int
     f1: int
     f2: int
@@ -316,14 +295,7 @@ class FScanRow:
         return self.f1 > 0 and self.f2 > 0 and self.f3 > 0 and self.f4 > 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "f1": self.f1,
-            "f2": self.f2,
-            "f3": self.f3,
-            "f4": self.f4,
-            "pass": self.all_positive,
-        }
+        return {**super().to_json_dict(), "pass": self.all_positive}
 
 
 def f_scan(n: int) -> list[FScanRow]:

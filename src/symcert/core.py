@@ -1,5 +1,5 @@
-"""Exact arithmetic core: rational scalars, binomial coefficients, and
-elementary symmetric functions.
+"""Exact arithmetic core: rational scalars, binomial coefficients,
+elementary symmetric functions, and the one JSON serializer.
 
 Every scalar in this package is a ``fractions.Fraction``; nothing here
 ever rounds.  Out-of-range symmetric-function indices follow the
@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -56,11 +57,6 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical lossless string form, "p/q" or "p" for integers."""
-    return str(value)
-
-
 def as_point(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """Normalize an iterable of rational-likes to an exact point tuple."""
     point = tuple(as_rational(v) for v in entries)
@@ -97,8 +93,39 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     return as_point(entries)
 
 
-def format_point(point: Sequence[Fraction]) -> list[str]:
-    return [format_rational(v) for v in point]
+def to_json(value: Any) -> Any:
+    """The JSON form of a value: a Fraction prints as its lossless "p/q"
+    string (re-parsed exactly by as_rational), an Enum as its value, a
+    tuple or list as a list, a dict keeps its key order, and a result
+    object gives its to_json_dict().
+
+    A Fraction with more than 4300 digits (Python's int string limit)
+    raises ValueError here, as json.dumps does for such an int; the CLI
+    reports either and exits 2.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, JsonResult):
+        return value.to_json_dict()
+    return value
+
+
+class JsonResult:
+    """Base of the result dataclasses: to_json_dict() serializes the
+    fields in declaration order.  A subclass whose JSON keys are not its
+    field names renames them through the keyword arguments."""
+
+    def to_json_dict(self, **renames: str) -> dict:
+        return {
+            renames.get(field.name, field.name): to_json(getattr(self, field.name))
+            for field in fields(self)
+        }
 
 
 def binomial(n: int, k: int) -> int:

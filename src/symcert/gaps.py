@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import RationalLike, as_point, as_rational, garding_membership, sigma_all
+from .core import JsonResult, RationalLike, as_point, as_rational, garding_membership, sigma_all
 
 
 class Relation(Enum):
@@ -39,7 +39,7 @@ class PreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(JsonResult):
     lhs: Fraction
     rhs: Fraction
     gap: Fraction
@@ -62,34 +62,34 @@ class GapReport:
             relation = Relation.NEGATIVE
         return cls(lhs, rhs, gap, relation, equality_case)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "gap": str(self.gap),
-            "relation": self.relation.value,
-            "equality_case": self.equality_case.value,
-        }
+
+def _window(
+    u: Callable[[int], Fraction], alpha: Fraction, j: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The window (p, s, q) of two-term terms alpha*u(i) + u(i+1) at
+    i = j-1, j, j+1, where u gives the means, the sigmas or the moments
+    by index.  Every two-term gap is s^2 - p*q, up to a factor on s^2."""
+    return alpha * u(j - 1) + u(j), alpha * u(j) + u(j + 1), alpha * u(j + 1) + u(j + 2)
 
 
-def _classify_two_term(point, e, alpha: Fraction, k: int, equal: bool) -> EqualityCase:
-    """Equality label for the two-term gap at window index k, given
-    whether the gap is zero.
+def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapReport:
+    """Gap s^2 - p*q over the window (p, s, q) of the means at j, with its
+    equality label.
 
     The ratio condition is checked in cross-multiplied form so zero
-    denominators never need dividing: s = -alpha*p and q = -alpha*s for
-    the three consecutive window terms p, s, q.
+    denominators never need dividing: s = -alpha*p and q = -alpha*s.
     """
-    if not equal:
-        return EqualityCase.STRICT
-    if all(v == point[0] for v in point):
-        return EqualityCase.ALL_EQUAL
-    p = alpha * e(k - 1) + e(k)
-    s = alpha * e(k) + e(k + 1)
-    q = alpha * e(k + 1) + e(k + 2)
-    if s == -alpha * p and q == -alpha * s:
-        return EqualityCase.RATIO_MINUS_ALPHA
-    return EqualityCase.NOT_APPLICABLE
+    p, s, q = _window(sigma_all(point).e_at, alpha, j)
+    lhs, rhs = s**2, p * q
+    if lhs != rhs:
+        case = EqualityCase.STRICT
+    elif all(v == point[0] for v in point):
+        case = EqualityCase.ALL_EQUAL
+    elif s == -alpha * p and q == -alpha * s:
+        case = EqualityCase.RATIO_MINUS_ALPHA
+    else:
+        case = EqualityCase.NOT_APPLICABLE
+    return GapReport.from_sides(lhs, rhs, case)
 
 
 def newton_gap(x: Iterable[RationalLike], k: int) -> GapReport:
@@ -101,11 +101,7 @@ def newton_gap(x: Iterable[RationalLike], k: int) -> GapReport:
     n = len(point)
     if not 1 <= k <= n - 1:
         raise PreconditionError(f"newton_gap needs 1 <= k <= n-1, got k={k}, n={n}")
-    e = sigma_all(point).e_at
-    lhs = e(k) ** 2
-    rhs = e(k - 1) * e(k + 1)
-    case = _classify_two_term(point, e, Fraction(0), k - 1, lhs == rhs)
-    return GapReport.from_sides(lhs, rhs, case)
+    return _two_term_gap(point, Fraction(0), k - 1)
 
 
 def maclaurin_chain_check(x: Iterable[RationalLike]) -> bool:
@@ -135,14 +131,11 @@ def gen_nm_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRep
         raise PreconditionError(f"gen_nm_gap needs n >= 3, got n={n}")
     if not 1 <= k <= n - 2:
         raise PreconditionError(f"gen_nm_gap needs 1 <= k <= n-2, got k={k}, n={n}")
-    e = sigma_all(point).e_at
-    lhs = (a * e(k) + e(k + 1)) ** 2
-    rhs = (a * e(k - 1) + e(k)) * (a * e(k + 1) + e(k + 2))
-    return GapReport.from_sides(lhs, rhs, _classify_two_term(point, e, a, k, lhs == rhs))
+    return _two_term_gap(point, a, k)
 
 
 @dataclass(frozen=True)
-class ChainResult:
+class ChainResult(JsonResult):
     """Outcome of the generalized chain check.
 
     chain_top is the largest m such that alpha*E_j + E_{j+1} >= 0 for all
@@ -155,14 +148,6 @@ class ChainResult:
     chain_top: int
     precondition_failed_at: Optional[int]
     first_failure: Optional[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "chain_top": self.chain_top,
-            "precondition_failed_at": self.precondition_failed_at,
-            "first_failure": self.first_failure,
-        }
 
 
 def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> ChainResult:
@@ -234,10 +219,8 @@ def quantitative_gap(
         raise PreconditionError(f"quantitative_gap needs 0 <= k <= n-1, got k={k}, n={n}")
     if not 0 < th < 1:
         raise PreconditionError(f"theta must lie in (0, 1), got {th}")
-    s = sigma_all(point).sigma_at
-    lhs = (1 - th) * (a * s(k) + s(k + 1)) ** 2
-    rhs = (a * s(k - 1) + s(k)) * (a * s(k + 1) + s(k + 2))
-    return GapReport.from_sides(lhs, rhs)
+    p, s, q = _window(sigma_all(point).sigma_at, a, k)
+    return GapReport.from_sides((1 - th) * s**2, p * q)
 
 
 def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapReport:
@@ -255,14 +238,12 @@ def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRe
         raise PreconditionError(f"liu_ren_gap requires alpha > 0, got {a}")
     if not garding_membership(point, k):
         raise PreconditionError("point lies outside the level-k positivity cone")
-    s = sigma_all(point).sigma_at
-    lhs = (s(k) + a * s(k - 1)) ** 2
-    rhs = (s(k - 1) + a * s(k - 2)) * (s(k + 1) + a * s(k))
-    return GapReport.from_sides(lhs, rhs)
+    p, s, q = _window(sigma_all(point).sigma_at, a, k - 1)
+    return GapReport.from_sides(s**2, p * q)
 
 
 @dataclass(frozen=True)
-class EndpointWitness:
+class EndpointWitness(JsonResult):
     """Constant point and alpha with a negative two-term gap at k = 0 or
     k = n-1, where the two-term inequality genuinely fails."""
 
@@ -270,14 +251,6 @@ class EndpointWitness:
     alpha: Fraction
     k: int
     report: GapReport
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": [str(v) for v in self.x],
-            "alpha": str(self.alpha),
-            "k": self.k,
-            "report": self.report.to_json_dict(),
-        }
 
 
 def remark_violation(n: int, k: int) -> EndpointWitness:
@@ -296,8 +269,5 @@ def remark_violation(n: int, k: int) -> EndpointWitness:
     else:
         raise PreconditionError(f"remark applies only to k = 0 or k = n-1, got k={k}")
     point = (c,) * n
-    e = sigma_all(point).e_at
-    lhs = (a * e(k) + e(k + 1)) ** 2
-    rhs = (a * e(k - 1) + e(k)) * (a * e(k + 1) + e(k + 2))
-    report = GapReport.from_sides(lhs, rhs)
-    return EndpointWitness(point, a, k, report)
+    p, s, q = _window(sigma_all(point).e_at, a, k)
+    return EndpointWitness(point, a, k, GapReport.from_sides(s**2, p * q))

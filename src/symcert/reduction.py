@@ -21,7 +21,18 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import polys
-from .core import RationalLike, as_point, as_rational, as_triple, binomial, e_all, sigma_all
+from .core import (
+    JsonResult,
+    RationalLike,
+    as_point,
+    as_rational,
+    as_triple,
+    binomial,
+    e_all,
+    sigma_all,
+    to_json,
+)
+from .gaps import _window
 
 ROOT_DIGITS = 40
 _NEWTON_DEN_BOUND = 10**80
@@ -35,7 +46,7 @@ class Branch(Enum):
 
 
 @dataclass(frozen=True)
-class Cubic:
+class Cubic(JsonResult):
     """Coefficients c0 t^3 + c1 t^2 + c2 t + c3 with
     (c0, c1, c2, c3) = (E_{k-1}, -3 E_k, 3 E_{k+1}, -E_{k+2})."""
 
@@ -52,7 +63,7 @@ class Cubic:
         return polys.trim([self.c3, self.c2, self.c1, self.c0])
 
     def to_json_dict(self) -> dict:
-        return {"coefficients": [str(c) for c in self.coefficients()]}
+        return {"coefficients": to_json(self.coefficients())}
 
 
 def associated_cubic(x: Iterable[RationalLike], k: int) -> Cubic:
@@ -145,7 +156,7 @@ def derivative_cascade(x: Iterable[RationalLike]) -> CascadeResult:
 
 
 @dataclass(frozen=True)
-class RootTriple:
+class RootTriple(JsonResult):
     """Roots and exact moments of the normalized associated cubic.
 
     vieta_moments are the exact (E_1, E_2, E_3) of the roots read off the
@@ -160,19 +171,6 @@ class RootTriple:
     roots: Optional[tuple[str, str, str]]
     precision: int
     degenerate_means: Optional[tuple[Fraction, Fraction]] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch.value,
-            "vieta_moments": None
-            if self.vieta_moments is None
-            else [str(m) for m in self.vieta_moments],
-            "roots": None if self.roots is None else list(self.roots),
-            "precision": self.precision,
-            "degenerate_means": None
-            if self.degenerate_means is None
-            else [str(m) for m in self.degenerate_means],
-        }
 
 
 def reduce_to_three(x: Iterable[RationalLike], k: int) -> RootTriple:
@@ -226,9 +224,9 @@ def gap_from_moments(
     For a CaseA reduction this times E_{k-1}^2 reproduces the original
     two-term gap exactly.
     """
-    a = as_rational(alpha)
-    v1, v2, v3 = as_rational(m1), as_rational(m2), as_rational(m3)
-    return (a * v1 + v2) ** 2 - (a + v1) * (a * v2 + v3)
+    moments = (1, as_rational(m1), as_rational(m2), as_rational(m3))
+    p, s, q = _window(moments.__getitem__, as_rational(alpha), 1)
+    return s**2 - p * q
 
 
 def lemma21_identity_residual(
@@ -242,10 +240,8 @@ def lemma21_identity_residual(
     """
     z1, z2, z3 = as_triple(z)
     a = as_rational(alpha)
-    means = e_all((z1, z2, z3))
-    gap = 18 * (a * means[1] + means[2]) ** 2 - 18 * (a * means[0] + means[1]) * (
-        a * means[2] + means[3]
-    )
+    p, s, q = _window(e_all((z1, z2, z3)).__getitem__, a, 1)
+    gap = 18 * (s**2 - p * q)
     u = (z1 + a) * (z2 + a)
     v = (z1 + a) * (z3 + a)
     w = (z2 + a) * (z3 + a)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .certificate import theta_for
-from .core import RationalLike, as_rational, sigma_all
-from .gaps import linear_combo_gap
+from .core import JsonResult, RationalLike, as_rational, sigma_all
+from .gaps import _window, linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
@@ -50,7 +50,7 @@ def _sample_entry(rng: random.Random, negative_rate: float = 0.35) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(JsonResult):
     """A confirmed finding.  The gap (or ratio) field is recomputed in
     exact arithmetic from the stored rational inputs before a witness is
     ever emitted."""
@@ -63,18 +63,6 @@ class Witness:
     context: str
     seed: int
     iteration: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": [str(v) for v in self.x],
-            "coeffs": None if self.coeffs is None else [str(c) for c in self.coeffs],
-            "alpha": None if self.alpha is None else str(self.alpha),
-            "k": self.k,
-            "gap": str(self.gap),
-            "context": self.context,
-            "seed": self.seed,
-            "iteration": self.iteration,
-        }
 
 
 # -- hunting violations of the linear-combination conjecture --------------
@@ -184,7 +172,7 @@ def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Optional[W
 
 
 @dataclass(frozen=True)
-class ThetaSummary:
+class ThetaSummary(JsonResult):
     n: int
     k: int
     samples: int
@@ -194,15 +182,7 @@ class ThetaSummary:
     argmin: Optional[Witness]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "samples": self.samples,
-            "skipped": self.skipped,
-            "certified_theta": str(self.certified),
-            "min_ratio": None if self.min_ratio is None else str(self.min_ratio),
-            "argmin": None if self.argmin is None else self.argmin.to_json_dict(),
-        }
+        return super().to_json_dict(certified="certified_theta")
 
 
 def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
@@ -232,12 +212,11 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
             point = (-alpha + jitter,) + (-alpha,) * (n - 2) + (tail,)
         else:
             point = tuple(_sample_entry(rng, negative_rate=0.5) for _ in range(n))
-        s = sigma_all(point).sigma_at
-        denominator = alpha * s(k) + s(k + 1)
-        if denominator == 0:
+        p, s, q = _window(sigma_all(point).sigma_at, alpha, k)
+        if s == 0:
             skipped += 1
             continue
-        ratio = 1 - (alpha * s(k - 1) + s(k)) * (alpha * s(k + 1) + s(k + 2)) / denominator**2
+        ratio = 1 - p * q / s**2
         if ratio < certified:
             raise CertificateViolation(
                 f"ratio {ratio} below certified theta {certified} at (n, k) = ({n}, {k}); "
@@ -277,7 +256,7 @@ class ScanGrid:
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(JsonResult):
     family: str
     n: int
     evaluated: int
@@ -285,17 +264,6 @@ class ScanReport:
     zero: int
     negative: int
     witnesses: tuple[Witness, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "evaluated": self.evaluated,
-            "positive": self.positive,
-            "zero": self.zero,
-            "negative": self.negative,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-        }
 
 
 def _family_vectors(family: str, m: int, grid: ScanGrid) -> list[tuple[Fraction, ...]]:

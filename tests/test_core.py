@@ -15,12 +15,11 @@ from symcert.core import (
     as_rational,
     binomial,
     e_all,
-    format_point,
-    format_rational,
     garding_membership,
     parse_point,
     sigma_all,
     sigma_naive,
+    to_json,
 )
 
 F = Fraction
@@ -191,8 +190,8 @@ class TestParsing:
 
     @given(rationals)
     def test_format_round_trip(self, q):
-        assert as_rational(format_rational(q)) == q
+        assert as_rational(to_json(q)) == q
 
     @given(points)
     def test_point_format_round_trip(self, point):
-        assert as_point(format_point(point)) == point
+        assert as_point(to_json(point)) == point
