@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Optional, Sequence
 
@@ -34,6 +35,7 @@ from .gaps import (
 from .reduction import associated_cubic, cubic_discriminant, reduce_to_three
 from .report import report_bundle
 from .search import (
+    AllSamplesDegenerate,
     CertificateViolation,
     ScanGrid,
     empirical_theta,
@@ -42,6 +44,12 @@ from .search import (
 )
 
 _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "json"}
+
+# Python's default limit on int string digits, past which no binomial of
+# a certificate can print; the margin keeps an estimate's rounding from
+# refusing a printable window (those stop near 2,150 digits).
+_PRINTABLE_DIGITS = 4300
+_DIGIT_MARGIN = 100
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -60,7 +68,13 @@ def run(argv: Sequence[str]) -> int:
         # the one conversion to JSON form; a value too long to print
         # raises ValueError here and exits 2 like any other bad input
         _emit(to_json(payload), args.format)
-    except (PreconditionError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (
+        PreconditionError,
+        AllSamplesDegenerate,
+        ValueError,
+        TypeError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificateViolation as exc:
@@ -276,8 +290,31 @@ def _cmd_chain(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, not result.holds
 
 
+def _binomial_digits_exceed(n: int, j: int, limit: int) -> bool:
+    """Whether log10 C(n, j) > limit, summing log10((n-m+i)/i) for
+    i = 1..m, m = min(j, n-j), until the sum passes limit.  Every term is
+    at least log10 2, so the loop stops within limit/log10(2) terms; no
+    binomial is built and no float overflows, whatever the size of n."""
+    m = min(j, n - j)
+    total = 0.0
+    for i in range(1, m + 1):
+        total += math.log10(n - m + i) - math.log10(i)
+        if total > limit:
+            return True
+    return False
+
+
 def _cmd_certificate(args: argparse.Namespace) -> tuple[Any, bool]:
-    return cert_constants(args.n, args.k), False
+    n, k = args.n, args.k
+    if n >= 4 and 1 <= k <= n - 2:
+        # C(n, j) peaks at j = n/2: check the printed binomial nearest it
+        j = min(range(k - 1, k + 3), key=lambda j: abs(n - 2 * j))
+        if _binomial_digits_exceed(n, j, _PRINTABLE_DIGITS + _DIGIT_MARGIN):
+            raise ValueError(
+                f"the binomials of certificate ({n}, {k}) have more than "
+                f"{_PRINTABLE_DIGITS} digits and cannot be printed"
+            )
+    return cert_constants(n, k), False
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[Any, bool]:

@@ -159,18 +159,31 @@ class SymProfile:
         return [self.e_at(j) for j in range(self.n + 1)]
 
 
+def _over_common_denominator(point: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(D, [x_i * D]) with D the lcm of the entries' denominators."""
+    scale = math.lcm(*(v.denominator for v in point))
+    return scale, [v.numerator * (scale // v.denominator) for v in point]
+
+
 def sigma_all(x: Iterable[RationalLike]) -> SymProfile:
     """Evaluate sigma_0..sigma_n by the single-pass recurrence
-    sigma_k += x_i * sigma_{k-1}, k descending for each new element.
+    S_k += X_i * S_{k-1}, k descending for each new element, on the
+    integer numerators X_i = x_i * D over one common denominator D;
+    then sigma_k = S_k / D^k.
     """
     point = as_point(x)
     n = len(point)
-    sig = [Fraction(0)] * (n + 1)
-    sig[0] = Fraction(1)
-    for i, v in enumerate(point):
-        for k in range(min(i + 1, n), 0, -1):
+    scale, ints = _over_common_denominator(point)
+    sig = [1] + [0] * n
+    for i, v in enumerate(ints, start=1):
+        for k in range(i, 0, -1):
             sig[k] += v * sig[k - 1]
-    return SymProfile(n, tuple(sig))
+    out = []
+    den = 1
+    for s in sig:
+        out.append(Fraction(s, den))
+        den *= scale
+    return SymProfile(n, tuple(out))
 
 
 def sigma_naive(x: Iterable[RationalLike]) -> SymProfile:
@@ -183,8 +196,7 @@ def sigma_naive(x: Iterable[RationalLike]) -> SymProfile:
     n = len(point)
     if n > NAIVE_LIMIT:
         raise ValueError(f"sigma_naive enumerates 2^n subsets; refusing n={n} > {NAIVE_LIMIT}")
-    scale = math.lcm(*(v.denominator for v in point))
-    ints = [int(v * scale) for v in point]
+    scale, ints = _over_common_denominator(point)
     sig = [Fraction(1)]
     for k in range(1, n + 1):
         total = sum(math.prod(c) for c in combinations(ints, k))

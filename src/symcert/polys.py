@@ -9,9 +9,12 @@ a rational p/q come from homogeneous integer Horner evaluation.  Every
 entry is therefore a positive multiple of the classical -rem chain
 entry, so every sign and sign-change count is the classical one, and
 the last entry is gcd(p, p') up to a constant factor.  Floating point
-never enters a verdict.  MPoly, a polynomial in any fixed number of
-variables with arithmetic operators, expands algebraic identities so
-that every coefficient can be matched exactly.
+never enters a verdict.  That homogeneous integer Horner,
+homogeneous_value, is the package's one polynomial evaluator: it gives
+these signs and the Newton steps of reduction's cubic-root polish.
+MPoly, a polynomial in any fixed number of variables with arithmetic
+operators, expands algebraic identities so that every coefficient can
+be matched exactly.
 """
 
 from __future__ import annotations
@@ -35,13 +38,6 @@ def trim(p: Sequence[Fraction]) -> Poly:
 def degree(p: Sequence[Fraction]) -> int:
     """Degree, with -1 for the zero polynomial."""
     return len(trim(p)) - 1
-
-
-def evaluate(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(p: Sequence[Fraction]) -> Poly:
@@ -106,16 +102,21 @@ def _sign(x: int | Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def sign_at(q: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial q at x = p/s, from the homogeneous
-    sum of c_i p^i s^(d-i), which has the sign of q(x) since s > 0."""
-    num, den = x.numerator, x.denominator
+def homogeneous_value(q: Sequence[int], num: int, den: int) -> int:
+    """s^d q(p/s) for the integer polynomial q = c_0 + ... + c_d x^d at
+    p = num, s = den: the integer sum of c_i p^i s^(d-i), by Horner."""
     acc = 0
     scale = 1
     for c in reversed(q):
         acc = acc * num + c * scale
         scale *= den
-    return _sign(acc)
+    return acc
+
+
+def sign_at(q: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial q at x = p/s, which is the sign of
+    s^d q(p/s) since s > 0."""
+    return _sign(homogeneous_value(q, x.numerator, x.denominator))
 
 
 def _sign_changes(signs: Sequence[int]) -> int:

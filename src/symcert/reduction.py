@@ -279,15 +279,33 @@ def real_cubic_roots(b: RationalLike, c: RationalLike, d: RationalLike) -> tuple
         ordered = sorted([simple, double, double])
         return (ordered[0], ordered[1], ordered[2])
     poly = [d, c, b, Fraction(1)]
-    roots = _trig_seeds_polished(poly, P, Q, shift)
-    if roots is None or not _roots_acceptable(poly, roots):
+    # a positive integer multiple of the cubic: Newton steps and the
+    # acceptance test are invariant under that scaling
+    scaled = polys.primitive_part(poly)
+    roots = _trig_seeds_polished(scaled, P, Q, shift)
+    if roots is None or not _roots_acceptable(scaled, roots):
         roots = _bisection_roots(poly)
     ordered = sorted(roots)
     return (ordered[0], ordered[1], ordered[2])
 
 
+def _newton_step(scaled: polys.IntPoly, r: Fraction) -> Optional[Fraction]:
+    """One Newton step for the integer cubic from r = p/q, limited to
+    denominators of _NEWTON_DEN_BOUND; None where the slope vanishes.
+
+    With F = q^3 f(p/q) and G = q^2 f'(p/q) from homogeneous integer
+    Horner, r - f(r)/f'(r) = (pG - F) / (qG).
+    """
+    p, q = r.numerator, r.denominator
+    slope = polys.homogeneous_value(polys.derivative(scaled), p, q)
+    if slope == 0:
+        return None
+    value = polys.homogeneous_value(scaled, p, q)
+    return Fraction(p * slope - value, q * slope).limit_denominator(_NEWTON_DEN_BOUND)
+
+
 def _trig_seeds_polished(
-    poly: polys.Poly, P: Fraction, Q: Fraction, shift: Fraction
+    scaled: polys.IntPoly, P: Fraction, Q: Fraction, shift: Fraction
 ) -> Optional[list[Fraction]]:
     try:
         p_f = float(P)
@@ -301,24 +319,26 @@ def _trig_seeds_polished(
         seeds = [radius * math.cos(angle - 2.0 * math.pi * j / 3.0) for j in range(3)]
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    deriv = polys.derivative(poly)
     roots = []
     for seed in seeds:
-        r = Fraction(seed).limit_denominator(10**17) - shift
-        slope = polys.evaluate(deriv, r)
-        if slope == 0:
+        r = _newton_step(scaled, Fraction(seed).limit_denominator(10**17) - shift)
+        if r is None:
             return None
-        r = r - polys.evaluate(poly, r) / slope
-        roots.append(r.limit_denominator(_NEWTON_DEN_BOUND))
+        roots.append(r)
     return roots
 
 
-def _roots_acceptable(poly: polys.Poly, roots: Sequence[Fraction]) -> bool:
+def _roots_acceptable(scaled: polys.IntPoly, roots: Sequence[Fraction]) -> bool:
+    """Distinct roots with |f(r)| <= 10^-20 max|c_i| max(1, |r|)^3 each,
+    tested as q^3 times that inequality at r = p/q, in integers."""
     if len(set(roots)) != 3:
         return False
-    scale = max(abs(c) for c in poly)
-    tol = scale / 10**20
-    return all(abs(polys.evaluate(poly, r)) <= tol * max(1, abs(r)) ** 3 for r in roots)
+    scale = max(abs(c) for c in scaled)
+    return all(
+        abs(polys.homogeneous_value(scaled, r.numerator, r.denominator)) * 10**20
+        <= scale * max(r.denominator, abs(r.numerator)) ** 3
+        for r in roots
+    )
 
 
 def _bisection_roots(poly: polys.Poly) -> list[Fraction]:
@@ -339,7 +359,7 @@ def _bisection_roots(poly: polys.Poly) -> list[Fraction]:
         if count == 0:
             continue
         if count == 1:
-            roots.append(_tighten_root(poly, chain, lo, v_lo, hi))
+            roots.append(_tighten_root(chain, lo, v_lo, hi))
             continue
         mid = _nonroot_point(chain[0], lo, hi)
         v_mid = polys.sign_changes_at(chain, mid)
@@ -358,9 +378,10 @@ def _nonroot_point(p0: polys.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _tighten_root(
-    poly: polys.Poly, chain: Sequence[polys.IntPoly], lo: Fraction, v_lo: int, hi: Fraction
+    chain: Sequence[polys.IntPoly], lo: Fraction, v_lo: int, hi: Fraction
 ) -> Fraction:
-    """Bisect (lo, hi], which holds one root and has v_lo sign changes at lo."""
+    """Bisect (lo, hi], which holds one root and has v_lo sign changes at
+    lo, then take one Newton step on the chain's first (integer) entry."""
     while hi - lo > _BISECTION_WIDTH:
         mid = (lo + hi) / 2
         if polys.sign_at(chain[0], mid) == 0:
@@ -371,10 +392,8 @@ def _tighten_root(
         else:
             lo, v_lo = mid, v_mid
     r = ((lo + hi) / 2).limit_denominator(_NEWTON_DEN_BOUND)
-    slope = polys.evaluate(polys.derivative(poly), r)
-    if slope != 0:
-        r = (r - polys.evaluate(poly, r) / slope).limit_denominator(_NEWTON_DEN_BOUND)
-    return r
+    polished = _newton_step(chain[0], r)
+    return r if polished is None else polished
 
 
 def _decimal_str(value: Fraction, digits: int = ROOT_DIGITS) -> str:

@@ -117,22 +117,23 @@ def _refine_point(
     steps: int = 60,
 ) -> tuple[Fraction, ...]:
     """Greedy coordinate perturbation on the float estimate; the caller
-    re-verifies whatever comes back."""
-    best = list(float(v) for v in point)
-    best_gap = _float_combo_gap([Fraction(v).limit_denominator(_DENOMINATOR_BOUND) for v in best], coeffs)
-    current = list(best)
+    re-verifies whatever comes back.  The current point is always the
+    best so far: each candidate moves one of its coordinates, so only
+    that coordinate is rationalized again, and restored on rejection."""
+    current = [float(v) for v in point]
+    rational = [Fraction(v).limit_denominator(_DENOMINATOR_BOUND) for v in current]
+    best_gap = _float_combo_gap(rational, coeffs)
     for _ in range(steps):
         idx = rng.randrange(len(current))
-        saved = current[idx]
-        current[idx] = saved * math.exp(rng.gauss(0.0, 0.3))
-        candidate = [Fraction(v).limit_denominator(_DENOMINATOR_BOUND) for v in current]
-        gap = _float_combo_gap(candidate, coeffs)
+        saved = current[idx], rational[idx]
+        current[idx] = saved[0] * math.exp(rng.gauss(0.0, 0.3))
+        rational[idx] = Fraction(current[idx]).limit_denominator(_DENOMINATOR_BOUND)
+        gap = _float_combo_gap(rational, coeffs)
         if gap < best_gap:
             best_gap = gap
-            best = list(current)
         else:
-            current[idx] = saved
-    return tuple(Fraction(v).limit_denominator(_DENOMINATOR_BOUND) for v in best)
+            current[idx], rational[idx] = saved
+    return tuple(rational)
 
 
 def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Optional[Witness]:

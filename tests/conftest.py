@@ -18,3 +18,11 @@ triples = st.lists(rationals, min_size=3, max_size=3).map(tuple)
 def rand_fraction(rng, span=10, max_denominator=50) -> Fraction:
     den = rng.randint(1, max_denominator)
     return Fraction(rng.randint(-span * den, span * den), den)
+
+
+def horner(poly, x) -> Fraction:
+    """Exact value of the polynomial poly (lowest power first) at x."""
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc

@@ -10,8 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import rand_fraction
-from symcert import polys
+from conftest import horner, rand_fraction
 from symcert.certificate import (
     cert_constants,
     decomposition_coefficient_match,
@@ -222,7 +221,7 @@ def test_criterion_8_reduction_suite():
                 coeffs = check.as_poly()
                 scale = max(abs(c) for c in coeffs)
                 for root_text in triple.roots:
-                    assert abs(polys.evaluate(coeffs, F(root_text))) <= scale / 10**12
+                    assert abs(horner(coeffs, F(root_text))) <= scale / 10**12
                     residual_bound_checked += 1
         assert residual_bound_checked > 20_000
 

@@ -147,10 +147,38 @@ class TestChain:
 
 class TestCertificateCommands:
     def test_certificate_values(self, capsys):
-        code, data, _ = invoke_json(capsys, "certificate", "--n", "4", "--k", "1")
-        assert code == 0
-        assert data["theta1"] == "5/11"
-        assert data["A3"] == "-180/11"
+        code, out, err = invoke(capsys, "certificate", "--n", "4", "--k", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "n": 4,
+            "k": 1,
+            "binomials": {"a": 1, "b": 4, "c": 6, "d": 4},
+            "theta1": "5/11",
+            "theta2": "3/11",
+            "t": "4",
+            "A1": "90/11",
+            "A2": "120/11",
+            "A3": "-180/11",
+        }
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_unprintable_certificate_refused_at_once(self, capsys):
+        # C(200000, 100000) has about 60,200 digits, far past the 4300
+        # Python prints; the window is refused before any binomial is built
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "certificate", "--n", "200000", "--k", "100000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "n, k", [(7137, 3568), (15199, 1519), (10**309, 1)], ids=["central", "tenth", "n-past-float"]
+    )
+    def test_printable_certificate_not_refused(self, capsys, n, k):
+        # the widest printable windows have binomials of about 2,150 digits
+        code, out, err = invoke(capsys, "certificate", "--n", str(n), "--k", str(k))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == n
 
     def test_lemmas_pass(self, capsys):
         code, data, _ = invoke_json(capsys, "lemmas", "--n-max", "8")
@@ -334,6 +362,17 @@ class TestErrorPaths:
             capsys, "verify", "--ineq", "gen-nm", "--x", '["1","2"]', "--alpha", "1", "--k", "1"
         )
         assert code == 2
+
+    def test_all_samples_degenerate_is_an_input_error(self, capsys, monkeypatch):
+        import symcert.search as search_module
+
+        # every window has a vanishing middle term, so no ratio is defined
+        monkeypatch.setattr(search_module, "_window", lambda sigma, alpha, k: (0, 0, 0))
+        code, out, err = invoke(capsys, "search", "theta", "--n", "4", "--k", "1", "--samples", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: all 5 samples had a vanishing denominator")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0

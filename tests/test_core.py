@@ -24,6 +24,11 @@ from symcert.core import (
 
 F = Fraction
 
+search_entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-25, max_value=25, max_denominator=10**6),
+)
+
 
 class TestBinomial:
     def test_small_pascal_row(self):
@@ -72,6 +77,24 @@ class TestSigma:
     @given(st.lists(rationals, min_size=1, max_size=8).map(tuple))
     def test_oracle_equivalence(self, point):
         assert sigma_all(point).sigma == sigma_naive(point).sigma
+
+    @given(st.lists(search_entries, min_size=1, max_size=12).map(tuple))
+    def test_oracle_equivalence_on_search_points(self, point):
+        # the shape search feeds sigma_all: up to 12 entries over
+        # denominators up to 10^6, with zeros and negatives
+        assert sigma_all(point).sigma == sigma_naive(point).sigma
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fraction_recurrence_n40(self, seed):
+        rng = random.Random(seed)
+        point = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(38)]
+        point += [F(0), F(-3, 7)]
+        rng.shuffle(point)
+        sig = [F(1)] + [F(0)] * len(point)
+        for i, v in enumerate(point):
+            for k in range(i + 1, 0, -1):
+                sig[k] += v * sig[k - 1]
+        assert sigma_all(point).sigma == tuple(sig)
 
     def test_naive_examples(self):
         assert sigma_naive((1, 2, 3)).sigma == (F(1), F(6), F(11), F(6))

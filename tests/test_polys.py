@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import nonzero_rationals, rationals
+from conftest import horner, nonzero_rationals, rationals
 from symcert import polys
 from symcert.polys import MPoly
 
@@ -90,7 +90,7 @@ def test_chain_entries_are_positive_multiples_of_classical(case):
 @given(constructed(), rationals)
 def test_integer_sign_matches_fraction_evaluation(case, x):
     poly = case[0]
-    value = polys.evaluate(poly, x)
+    value = horner(poly, x)
     assert polys.sign_at(polys.primitive_part(poly), x) == (value > 0) - (value < 0)
 
 

@@ -2,13 +2,15 @@
 cascade with Sturm certification, branch selection, the three-square
 identity, and root quality."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
-from conftest import points, rationals, triples
+from conftest import horner, points, rationals, triples
 from symcert import polys, reduction
 from symcert.core import sigma_all
 from symcert.gaps import gen_nm_gap
@@ -30,6 +32,98 @@ F = Fraction
 
 def window_for(point, k):
     return 1 <= k <= len(point) - 2
+
+
+# Fraction-arithmetic reference for the root polish of real_cubic_roots:
+# Newton steps and the acceptance test by rational Horner evaluation.
+# The integer kernel must return the same roots and take the bisection
+# fallback on exactly the same cubics.
+
+_DEN_BOUND = 10**80
+
+
+def reference_newton(poly, r):
+    slope = horner(polys.derivative(poly), r)
+    if slope == 0:
+        return None
+    return (r - horner(poly, r) / slope).limit_denominator(_DEN_BOUND)
+
+
+def reference_trig_roots(poly, P, Q, shift):
+    try:
+        p_f = float(P)
+        q_f = float(Q)
+        radius = 2.0 * math.sqrt(-p_f / 3.0)
+        if radius == 0.0 or not math.isfinite(radius):
+            return None
+        arg = max(-1.0, min(1.0, 3.0 * q_f / (p_f * radius)))
+        angle = math.acos(arg) / 3.0
+        seeds = [radius * math.cos(angle - 2.0 * math.pi * j / 3.0) for j in range(3)]
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    roots = []
+    for seed in seeds:
+        r = reference_newton(poly, F(seed).limit_denominator(10**17) - shift)
+        if r is None:
+            return None
+        roots.append(r)
+    return roots
+
+
+def reference_acceptable(poly, roots):
+    if len(set(roots)) != 3:
+        return False
+    tol = max(abs(c) for c in poly) / 10**20
+    return all(abs(horner(poly, r)) <= tol * max(1, abs(r)) ** 3 for r in roots)
+
+
+def reference_bisection_roots(poly):
+    chain = polys.sturm_chain(poly)
+    bound = F(1) + max(abs(c) for c in poly)
+    while polys.sign_at(chain[0], bound) == 0 or polys.sign_at(chain[0], -bound) == 0:
+        bound += 1
+    stack = [(-bound, polys.sign_changes_at(chain, -bound), bound, polys.sign_changes_at(chain, bound))]
+    roots = []
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            while hi - lo > F(1, 10**45):
+                mid = (lo + hi) / 2
+                if polys.sign_at(chain[0], mid) == 0:
+                    roots.append(mid)
+                    break
+                v_mid = polys.sign_changes_at(chain, mid)
+                if v_lo - v_mid == 1:
+                    hi = mid
+                else:
+                    lo, v_lo = mid, v_mid
+            else:
+                r = ((lo + hi) / 2).limit_denominator(_DEN_BOUND)
+                polished = reference_newton(poly, r)
+                roots.append(r if polished is None else polished)
+        elif v_lo - v_hi > 1:
+            mid = reduction._nonroot_point(chain[0], lo, hi)
+            v_mid = polys.sign_changes_at(chain, mid)
+            stack.append((lo, v_lo, mid, v_mid))
+            stack.append((mid, v_mid, hi, v_hi))
+    return roots
+
+
+def reference_distinct_roots(b, c, d):
+    """(roots ascending, whether the bisection fallback ran) for a monic
+    cubic with three distinct real roots."""
+    shift = b / 3
+    P = c - b**2 / 3
+    Q = 2 * b**3 / 27 - b * c / 3 + d
+    poly = [d, c, b, F(1)]
+    roots = reference_trig_roots(poly, P, Q, shift)
+    bisected = roots is None or not reference_acceptable(poly, roots)
+    if bisected:
+        roots = reference_bisection_roots(poly)
+    return tuple(sorted(roots)), bisected
+
+
+search_roots = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
 
 
 class TestAssociatedCubic:
@@ -119,8 +213,8 @@ class TestDerivativeCascade:
         result = derivative_cascade((2, 2, 2, 5))
         for poly in result.levels[1]:
             low_first = list(reversed(poly))
-            assert polys.evaluate(low_first, F(2)) == 0
-            assert polys.evaluate(polys.derivative(low_first), F(2)) == 0
+            assert horner(low_first, F(2)) == 0
+            assert horner(polys.derivative(low_first), F(2)) == 0
 
     def test_small_point_rejected(self):
         with pytest.raises(ValueError):
@@ -238,8 +332,28 @@ class TestRootExtraction:
         coeffs = cubic.as_poly()
         scale = max(abs(c) for c in coeffs)
         for root_text in triple.roots:
-            residual = abs(polys.evaluate(coeffs, F(root_text)))
+            residual = abs(horner(coeffs, F(root_text)))
             assert residual <= scale / 10**12
+
+    @given(search_roots, search_roots, search_roots, st.sampled_from([None, 8, 10, 13]))
+    @example(F(1, 3), F(0), F(-2, 7), 10)
+    @example(F(1), F(0), F(2), None)
+    @example(F(0), F(0), F(5, 2), None)
+    def test_polish_matches_fraction_reference(self, r, s, t, gap_digits):
+        # gap_digits clusters two roots 10^-gap_digits apart, which sends
+        # most cubics to the bisection fallback
+        if gap_digits is not None:
+            s = r + F(1, 10**gap_digits)
+        if len({r, s, t}) < 3:
+            return
+        b, c, d = -(r + s + t), r * s + r * t + s * t, -r * s * t
+        expected, bisected = reference_distinct_roots(b, c, d)
+        with mock.patch.object(
+            reduction, "_bisection_roots", wraps=reduction._bisection_roots
+        ) as spy:
+            roots = real_cubic_roots(b, c, d)
+        assert roots == expected
+        assert spy.called == bisected
 
     @pytest.mark.parametrize(
         "r, s",

@@ -1,10 +1,12 @@
 """Search tests: determinism, exact re-verification of every witness, the
 empirical theta bracket, and the structured family scans."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from symcert import search
 from symcert.certificate import theta_for
 from symcert.gaps import linear_combo_gap
 from symcert.search import (
@@ -16,6 +18,25 @@ from symcert.search import (
 )
 
 F = Fraction
+
+
+def reference_refine_point(rng, point, coeffs, steps=60):
+    """Greedy refinement that rationalizes every coordinate of every
+    candidate; _refine_point must return the same point."""
+    best = [float(v) for v in point]
+    best_gap = search._float_combo_gap([F(v).limit_denominator(10**6) for v in best], coeffs)
+    current = list(best)
+    for _ in range(steps):
+        idx = rng.randrange(len(current))
+        saved = current[idx]
+        current[idx] = saved * math.exp(rng.gauss(0.0, 0.3))
+        gap = search._float_combo_gap([F(v).limit_denominator(10**6) for v in current], coeffs)
+        if gap < best_gap:
+            best_gap = gap
+            best = list(current)
+        else:
+            current[idx] = saved
+    return tuple(F(v).limit_denominator(10**6) for v in best)
 
 
 class TestFindCounterexample:
@@ -63,6 +84,19 @@ class TestFindCounterexample:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             find_counterexample_15(3, 4, seed=0, budget=0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_refine_point_matches_reference(self, seed):
+        m, n = 2 + seed % 3, 2 + seed % 5
+        rng = search._rng_for(seed, 7)
+        coeffs = search._sample_coeffs(rng, m)
+        point = tuple(search._sample_entry(rng) for _ in range(n))
+        state = rng.getstate()
+        refined = search._refine_point(rng, point, coeffs)
+        after = rng.getstate()
+        rng.setstate(state)
+        assert refined == reference_refine_point(rng, point, coeffs)
+        assert after == rng.getstate()
 
 
 class TestEmpiricalTheta:
