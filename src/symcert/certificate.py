@@ -14,10 +14,10 @@ with W a sum of three squares and V a positive-definite quadratic form in
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .core import JsonResult, RationalLike, as_rational, as_triple, binomial
 from .polys import MPoly

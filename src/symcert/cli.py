@@ -6,7 +6,8 @@ theta, report.  Exit codes: 0 computation done / all checks passed,
 2 usage or precondition error.  Handlers return raw results; run turns
 each into its JSON form once (core.to_json), so every rational prints as
 a lossless "p/q" string and output is byte-identical across runs with
-the same configuration.
+the same configuration.  Each handler imports the modules it runs, so a
+command loads only what it needs.
 """
 
 from __future__ import annotations
@@ -15,32 +16,16 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__
-from .certificate import cert_constants, is_special_window, theta_for, window_check
-from .core import as_rational, parse_point, sigma_all, to_json
-from .gaps import (
-    PreconditionError,
-    Relation,
-    gen_maclaurin_chain,
-    gen_nm_gap,
-    linear_combo_gap,
-    liu_ren_gap,
-    maclaurin_chain_check,
-    newton_gap,
-    quantitative_gap,
-    remark_violation,
-)
-from .reduction import associated_cubic, cubic_discriminant, reduce_to_three
-from .report import report_bundle
-from .search import (
+from .core import (
     AllSamplesDegenerate,
     CertificateViolation,
-    ScanGrid,
-    empirical_theta,
-    find_counterexample_15,
-    structured_scan,
+    as_rational,
+    parse_point,
+    sigma_all,
+    to_json,
 )
 
 _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "json"}
@@ -52,7 +37,7 @@ _PRINTABLE_DIGITS = 4300
 _DIGIT_MARGIN = 100
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
+def main(argv: Sequence[str] | None = None) -> None:
     sys.exit(run(list(sys.argv[1:] if argv is None else argv)))
 
 
@@ -68,13 +53,7 @@ def run(argv: Sequence[str]) -> int:
         # the one conversion to JSON form; a value too long to print
         # raises ValueError here and exits 2 like any other bad input
         _emit(to_json(payload), args.format)
-    except (
-        PreconditionError,
-        AllSamplesDegenerate,
-        ValueError,
-        TypeError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, TypeError, AllSamplesDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificateViolation as exc:
@@ -184,11 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: Optional[str]) -> dict:
+def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("config file is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
     return data
@@ -202,6 +184,9 @@ def _effective_config(args: argparse.Namespace) -> None:
         value = getattr(args, key, None)
         if value is None:
             value = file_values.get(key, default)
+        if key != "format" and isinstance(value, (bool, float)):
+            # int() would truncate 1.5, overflow on 1e400 and take true as 1
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
         setattr(args, key, str(value) if key == "format" else int(value))
     if args.format not in ("json", "text"):
         raise ValueError(f"format must be json or text, got {args.format!r}")
@@ -211,7 +196,7 @@ def _effective_config(args: argparse.Namespace) -> None:
             setattr(args, key, parse(getattr(args, key)))
 
 
-def _emit(payload: Any, fmt: str) -> None:
+def _emit(payload: object, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -219,7 +204,7 @@ def _emit(payload: Any, fmt: str) -> None:
             print(line)
 
 
-def _text_lines(value: Any, indent: int) -> list[str]:
+def _text_lines(value: object, indent: int) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
@@ -249,39 +234,46 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 # -- handlers: each returns (payload, finding); run serializes the payload ----
 
-# the inputs each gap needs, in payload order (and argument order), and its evaluator
+# the inputs each gap needs, in payload order (and argument order), and
+# the name of its evaluator in gaps
 _GAPS = {
-    "newton": (("x", "k"), newton_gap),
-    "gen-nm": (("x", "alpha", "k"), gen_nm_gap),
-    "combo": (("x", "coeffs"), linear_combo_gap),
-    "quantitative": (("x", "alpha", "k", "theta"), quantitative_gap),
-    "liu-ren": (("x", "alpha", "k"), liu_ren_gap),
+    "newton": (("x", "k"), "newton_gap"),
+    "gen-nm": (("x", "alpha", "k"), "gen_nm_gap"),
+    "combo": (("x", "coeffs"), "linear_combo_gap"),
+    "quantitative": (("x", "alpha", "k", "theta"), "quantitative_gap"),
+    "liu-ren": (("x", "alpha", "k"), "liu_ren_gap"),
 }
 
 
-def _cmd_sigma(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_sigma(args: argparse.Namespace) -> tuple[object, bool]:
     profile = sigma_all(args.x)
     return {"x": args.x, "n": profile.n, "sigma": profile.sigma, "e": profile.e_list()}, False
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
+    from . import gaps
+
     ineq = args.ineq
     if args.theta is not None and ineq != "quantitative":
         raise ValueError(f"--theta applies only to --ineq quantitative, not {ineq}")
     if ineq == "remark":
         _require(args, "n", "k")
-        witness = remark_violation(args.n, args.k)
-        return {"ineq": ineq, "witness": witness}, witness.report.relation is Relation.NEGATIVE
-    names, evaluate = _GAPS[ineq]
+        witness = gaps.remark_violation(args.n, args.k)
+        return {"ineq": ineq, "witness": witness}, witness.report.relation is gaps.Relation.NEGATIVE
+    names, evaluator = _GAPS[ineq]
     _require(args, *(name for name in names if name != "theta"))
     if ineq == "quantitative" and args.theta is None:
+        from .certificate import theta_for
+
         args.theta = theta_for(len(args.x), args.k)
     inputs = {name: getattr(args, name) for name in names}
-    report = evaluate(*inputs.values())
-    return {"ineq": ineq, **inputs, "report": report}, report.relation is Relation.NEGATIVE
+    report = getattr(gaps, evaluator)(*inputs.values())
+    return {"ineq": ineq, **inputs, "report": report}, report.relation is gaps.Relation.NEGATIVE
 
 
-def _cmd_chain(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_chain(args: argparse.Namespace) -> tuple[object, bool]:
+    from .gaps import gen_maclaurin_chain, maclaurin_chain_check
+
     if args.alpha is None:
         holds = maclaurin_chain_check(args.x)
         return {"kind": "classical", "x": args.x, "holds": holds}, not holds
@@ -304,7 +296,9 @@ def _binomial_digits_exceed(n: int, j: int, limit: int) -> bool:
     return False
 
 
-def _cmd_certificate(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_certificate(args: argparse.Namespace) -> tuple[object, bool]:
+    from .certificate import cert_constants
+
     n, k = args.n, args.k
     if n >= 4 and 1 <= k <= n - 2:
         # C(n, j) peaks at j = n/2: check the printed binomial nearest it
@@ -317,10 +311,12 @@ def _cmd_certificate(args: argparse.Namespace) -> tuple[Any, bool]:
     return cert_constants(n, k), False
 
 
-def _cmd_lemmas(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_lemmas(args: argparse.Namespace) -> tuple[object, bool]:
     if args.n_max < 4:
         # the lemmas start at n = 4: a smaller bound would pass with nothing checked
         raise ValueError(f"lemmas needs n_max >= 4, got {args.n_max}")
+    from .certificate import window_check
+
     checks = [window_check(n, k) for n in range(4, args.n_max + 1) for k in range(1, n - 1)]
     rows = [
         {
@@ -339,7 +335,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, not all_pass
 
 
-def _cmd_reduce(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_reduce(args: argparse.Namespace) -> tuple[object, bool]:
+    from .reduction import associated_cubic, cubic_discriminant, reduce_to_three
+
     cubic = associated_cubic(args.x, args.k)
     payload = {
         "x": args.x,
@@ -351,7 +349,9 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, False
 
 
-def _cmd_theta(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_theta(args: argparse.Namespace) -> tuple[object, bool]:
+    from .certificate import is_special_window, theta_for
+
     payload = {
         "n": args.n,
         "k": args.k,
@@ -361,7 +361,9 @@ def _cmd_theta(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, False
 
 
-def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[object, bool]:
+    from .search import find_counterexample_15
+
     witness = find_counterexample_15(args.m, args.n, args.seed, args.budget)
     payload = {
         "m": args.m,
@@ -373,17 +375,23 @@ def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, witness is not None
 
 
-def _cmd_search_theta(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_search_theta(args: argparse.Namespace) -> tuple[object, bool]:
+    from .search import empirical_theta
+
     return empirical_theta(args.n, args.k, args.samples, args.seed), False
 
 
-def _cmd_search_scan(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_search_scan(args: argparse.Namespace) -> tuple[object, bool]:
+    from .search import ScanGrid, structured_scan
+
     grid = ScanGrid() if args.grid is None else ScanGrid.of(parse_point(args.grid))
     report = structured_scan(args.family, args.n, grid)
     return report, report.negative > 0
 
 
-def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_report(args: argparse.Namespace) -> tuple[object, bool]:
+    from .report import report_bundle
+
     document = report_bundle(args.n_max, args.seed, args.samples)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -391,3 +399,12 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
             handle.write("\n")
         return {"written": args.out, "n_max": args.n_max}, False
     return document, not document["checks"]["all_pass"]
+
+
+def __getattr__(name: str) -> object:
+    # symcert.cli.report_bundle, without importing report for every command
+    if name == "report_bundle":
+        from .report import report_bundle
+
+        return report_bundle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

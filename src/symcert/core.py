@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Iterable, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 # sigma_naive enumerates 2^n subsets; refuse anything bigger than this.
 NAIVE_LIMIT = 20
@@ -78,7 +78,10 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     Example: ["4", "4", "1/4", "0.25"].  Integer JSON numbers are also
     accepted; floats are rejected because they do not round-trip.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("tuple literal is nested too deeply") from None
     if not isinstance(data, list):
         raise ValueError("tuple literal must be a JSON array")
     entries = []
@@ -93,7 +96,7 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     return as_point(entries)
 
 
-def to_json(value: Any) -> Any:
+def to_json(value: object) -> object:
     """The JSON form of a value: a Fraction prints as its lossless "p/q"
     string (re-parsed exactly by as_rational), an Enum as its value, a
     tuple or list as a list, a dict keeps its key order, and a result
@@ -126,6 +129,22 @@ class JsonResult:
             renames.get(field.name, field.name): to_json(getattr(self, field.name))
             for field in fields(self)
         }
+
+
+# The search exceptions live here, so the CLI can catch them without
+# importing search.
+
+
+class CertificateViolation(RuntimeError):
+    """An observed ratio fell below the certified theta.
+
+    This would contradict the proved quantitative bound, so the run
+    aborts loudly instead of folding the sample into a summary.
+    """
+
+
+class AllSamplesDegenerate(RuntimeError):
+    """Every sampled ratio had a vanishing denominator."""
 
 
 def binomial(n: int, k: int) -> int:

@@ -9,10 +9,10 @@ violated preconditions raise :class:`PreconditionError` instead.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
 
 from .core import JsonResult, RationalLike, as_point, as_rational, garding_membership, sigma_all
 
@@ -146,8 +146,8 @@ class ChainResult(JsonResult):
 
     holds: bool
     chain_top: int
-    precondition_failed_at: Optional[int]
-    first_failure: Optional[int]
+    precondition_failed_at: int | None
+    first_failure: int | None
 
 
 def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> ChainResult:
@@ -165,13 +165,13 @@ def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> Chain
     e = sigma_all(point).e_at
     terms = [a * e(m) + e(m + 1) for m in range(n)]
     chain_top = -1
-    failed_at: Optional[int] = None
+    failed_at: int | None = None
     for m, value in enumerate(terms):
         if value < 0:
             failed_at = m
             break
         chain_top = m
-    first_failure: Optional[int] = None
+    first_failure: int | None = None
     for m in range(1, chain_top + 1):
         if terms[m - 1] ** (m + 1) < terms[m] ** m:
             first_failure = m

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, List, Sequence
 
-Poly = List[Fraction]
-IntPoly = List[int]
+Poly = list[Fraction]
+IntPoly = list[int]
 
 
 def trim(p: Sequence[Fraction]) -> Poly:

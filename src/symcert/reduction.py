@@ -14,11 +14,11 @@ are a convenience output only and never feed an exact check.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from . import polys
 from .core import (
@@ -167,10 +167,10 @@ class RootTriple(JsonResult):
     """
 
     branch: Branch
-    vieta_moments: Optional[tuple[Fraction, Fraction, Fraction]]
-    roots: Optional[tuple[str, str, str]]
+    vieta_moments: tuple[Fraction, Fraction, Fraction] | None
+    roots: tuple[str, str, str] | None
     precision: int
-    degenerate_means: Optional[tuple[Fraction, Fraction]] = None
+    degenerate_means: tuple[Fraction, Fraction] | None = None
 
 
 def reduce_to_three(x: Iterable[RationalLike], k: int) -> RootTriple:
@@ -289,7 +289,7 @@ def real_cubic_roots(b: RationalLike, c: RationalLike, d: RationalLike) -> tuple
     return (ordered[0], ordered[1], ordered[2])
 
 
-def _newton_step(scaled: polys.IntPoly, r: Fraction) -> Optional[Fraction]:
+def _newton_step(scaled: polys.IntPoly, r: Fraction) -> Fraction | None:
     """One Newton step for the integer cubic from r = p/q, limited to
     denominators of _NEWTON_DEN_BOUND; None where the slope vanishes.
 
@@ -306,7 +306,7 @@ def _newton_step(scaled: polys.IntPoly, r: Fraction) -> Optional[Fraction]:
 
 def _trig_seeds_polished(
     scaled: polys.IntPoly, P: Fraction, Q: Fraction, shift: Fraction
-) -> Optional[list[Fraction]]:
+) -> list[Fraction] | None:
     try:
         p_f = float(P)
         q_f = float(Q)

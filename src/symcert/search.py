@@ -11,29 +11,24 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .certificate import theta_for
-from .core import JsonResult, RationalLike, as_rational, sigma_all
+from .core import (
+    AllSamplesDegenerate,
+    CertificateViolation,
+    JsonResult,
+    RationalLike,
+    as_rational,
+    sigma_all,
+)
 from .gaps import _window, linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
 _WITNESS_CAP = 10
-
-
-class CertificateViolation(RuntimeError):
-    """An observed ratio fell below the certified theta.
-
-    This would contradict the proved quantitative bound, so the run
-    aborts loudly instead of folding the sample into a summary.
-    """
-
-
-class AllSamplesDegenerate(RuntimeError):
-    """Every sampled ratio had a vanishing denominator."""
 
 
 def _rng_for(seed: int, iteration: int) -> random.Random:
@@ -56,9 +51,9 @@ class Witness(JsonResult):
     ever emitted."""
 
     x: tuple[Fraction, ...]
-    coeffs: Optional[tuple[Fraction, ...]]
-    alpha: Optional[Fraction]
-    k: Optional[int]
+    coeffs: tuple[Fraction, ...] | None
+    alpha: Fraction | None
+    k: int | None
     gap: Fraction
     context: str
     seed: int
@@ -136,7 +131,7 @@ def _refine_point(
     return tuple(rational)
 
 
-def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Optional[Witness]:
+def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Witness | None:
     """Search for a point and coefficient vector with a negative
     linear-combination gap; None is a valid outcome.
 
@@ -179,8 +174,8 @@ class ThetaSummary(JsonResult):
     samples: int
     skipped: int
     certified: Fraction
-    min_ratio: Optional[Fraction]
-    argmin: Optional[Witness]
+    min_ratio: Fraction | None
+    argmin: Witness | None
 
     def to_json_dict(self) -> dict:
         return super().to_json_dict(certified="certified_theta")
@@ -201,8 +196,8 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
         raise ValueError(f"need n >= 3 and 0 <= k <= n-1, got ({n}, {k})")
     certified = theta_for(n, k)
     skipped = 0
-    min_ratio: Optional[Fraction] = None
-    argmin: Optional[Witness] = None
+    min_ratio: Fraction | None = None
+    argmin: Witness | None = None
     for i in range(samples):
         rng = _rng_for(seed, i)
         alpha = _sample_entry(rng, negative_rate=0.5)
@@ -252,7 +247,7 @@ class ScanGrid:
     )
 
     @classmethod
-    def of(cls, values: Iterable[RationalLike]) -> "ScanGrid":
+    def of(cls, values: Iterable[RationalLike]) -> ScanGrid:
         return cls(tuple(as_rational(v) for v in values))
 
 
@@ -305,7 +300,7 @@ def _grid_points(length: int, grid: ScanGrid) -> list[tuple[Fraction, ...]]:
     return points
 
 
-def structured_scan(family: str, n: int, grid: Optional[ScanGrid] = None) -> ScanReport:
+def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanReport:
     """Grid-evaluate the linear-combination gap over one coefficient
     family (m = n coefficients, points of length n + 1), tabulating the
     sign regions.  Purely exploratory; no sign is asserted.

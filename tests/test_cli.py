@@ -323,6 +323,40 @@ class TestConfigPrecedence:
         code, _, err = invoke(capsys, "report", "--config", str(config))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_max": 1e400}',
+            '{"seed": Infinity}',
+            '{"seed": 1.5}',
+            '{"n_max": true}',
+            '{"budget": 2.0}',
+            '{"samples": false}',
+        ],
+    )
+    def test_non_integer_config_values_rejected(self, capsys, tmp_path, text):
+        # int() would overflow on the first two, truncate 1.5 and take true as 1
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code, out, err = invoke(capsys, "lemmas", "--config", str(config))
+        key = next(iter(json.loads(text)))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config key {key!r} must be an integer")
+        assert err.count("\n") == 1
+
+    def test_string_config_integer_still_accepted(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text('{"n_max": "5"}')
+        code, data, _ = invoke_json(capsys, "lemmas", "--config", str(config))
+        assert (code, data["n_max"]) == (0, 5)
+
+    def test_deeply_nested_config_rejected(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text("[" * 5000)
+        code, out, err = invoke(capsys, "lemmas", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: config file is nested too deeply\n"
+
 
 class TestErrorPaths:
     def test_malformed_point(self, capsys):
@@ -345,6 +379,20 @@ class TestErrorPaths:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "error: decimal exponent in '1e1000000000' exceeds 4300 in magnitude\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sigma", "--x"),
+            ("verify", "--ineq", "combo", "--x", '["1","2"]', "--coeffs"),
+            ("search", "scan", "--family", "alternating-signs", "--n", "3", "--grid"),
+        ],
+        ids=["x", "coeffs", "grid"],
+    )
+    def test_deeply_nested_literal_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "[" * 5000)
+        assert (code, out) == (2, "")
+        assert err == "error: tuple literal is nested too deeply\n"
 
     def test_float_entry_rejected(self, capsys):
         code, _, err = invoke(capsys, "sigma", "--x", "[0.1]")
