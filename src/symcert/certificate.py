@@ -10,6 +10,14 @@ consecutive binomials C(n, k-1)..C(n, k+2), the three-variable gap
 decomposes exactly as theta1*(alpha*b*s1 + c*s2)^2 + theta2*W(z, t) + V(z)
 with W a sum of three squares and V a positive-definite quadratic form in
 (alpha*z_i, z_p*z_q).  theta1 is then an admissible quantitative constant.
+
+The residual of that decomposition is evaluated on integers: M times it,
+with M the lcm of the constants' denominators, is a polynomial with
+integer coefficients, homogeneous of degree 4 in (z1, z2, z3, alpha), so
+it runs on the point's integer numerators over one common denominator D
+and is divided by M*D^4 once.  theta1 is homogeneous of degree 0 in
+(a, b, c, d), so theta_for evaluates it at a scale-free quadruple of
+small polynomials in (n, k) and takes constant time in n.
 """
 
 from __future__ import annotations
@@ -19,7 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import JsonResult, RationalLike, as_rational, as_triple, binomial
+from .core import (
+    JsonResult,
+    RationalLike,
+    as_rational,
+    as_triple,
+    binomial,
+    over_common_denominator,
+)
 from .polys import MPoly
 
 
@@ -65,6 +80,34 @@ class CertConstants(JsonResult):
         return data
 
 
+# theta1 = 3*mixed/den, written once over plain scalars (a, b, c, d):
+# cert_constants and lemma31_check take these at the binomials,
+# theta_for at the scale-free quadruple.
+
+
+def _mixed_term(a, b, c, d):
+    return 2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d
+
+
+def _theta_den(a, b, c, d):
+    return 6 * a * c**3 + 6 * b**3 * d - 4 * b**2 * c**2
+
+
+def _theta1(a, b, c, d) -> Fraction:
+    return Fraction(3 * _mixed_term(a, b, c, d), _theta_den(a, b, c, d))
+
+
+def _scale_free_quad(n: int, k: int) -> tuple[int, int, int, int]:
+    """binom_quad(n, k) divided by the positive factor C(n, k-1)/(k(k+1)(k+2)):
+    the same ratios b/a, c/b, d/c, from entries of at most three factors."""
+    return (
+        k * (k + 1) * (k + 2),
+        (n - k + 1) * (k + 1) * (k + 2),
+        (n - k + 1) * (n - k) * (k + 2),
+        (n - k + 1) * (n - k) * (n - k - 1),
+    )
+
+
 @lru_cache(maxsize=None)
 def cert_constants(n: int, k: int) -> CertConstants:
     """Solve the three coefficient-matching equations for (theta1, theta2, t)
@@ -82,9 +125,8 @@ def cert_constants(n: int, k: int) -> CertConstants:
     """
     quad = binom_quad(n, k)
     a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    den = 6 * a * c**3 + 6 * b**3 * d - 4 * b**2 * c**2
-    theta1 = Fraction(3 * (2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d), den)
-    theta2 = Fraction(c**2 * (3 * a * c - b**2) ** 2, den)
+    theta1 = _theta1(a, b, c, d)
+    theta2 = Fraction(c**2 * (3 * a * c - b**2) ** 2, _theta_den(a, b, c, d))
     t = Fraction(b * (3 * b * d - c**2), c * (3 * a * c - b**2))
     A1 = b**2 * (1 - theta1) - 2 * theta2
     A2 = c**2 * (1 - theta1) - 2 * t**2 * theta2
@@ -93,7 +135,7 @@ def cert_constants(n: int, k: int) -> CertConstants:
 
 
 # L, W, V and the residual, written once over plain scalars so that the
-# same code evaluates at Fractions and expands over polys.MPoly variables.
+# same code evaluates at integers and expands over polys.MPoly variables.
 
 
 def _sigmas(z1, z2, z3):
@@ -119,19 +161,44 @@ def _w(z1, z2, z3, alpha, t):
     )
 
 
-def _v(z1, z2, z3, alpha, consts: CertConstants):
+def _v(z1, z2, z3, alpha, A1, A2, A3):
     sum_sq = z1**2 + z2**2 + z3**2
     pair_sq = z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2
-    return consts.A1 * alpha**2 * sum_sq + consts.A2 * pair_sq + consts.A3 * alpha * z1 * z2 * z3
+    return A1 * alpha**2 * sum_sq + A2 * pair_sq + A3 * alpha * z1 * z2 * z3
 
 
-def _residual(z1, z2, z3, alpha, consts: CertConstants):
+@dataclass(frozen=True)
+class _ClearedConstants:
+    """The decomposition's constants times M, the lcm of the denominators
+    of theta1, theta2/tq^2, A1, A2 and A3, with t = tn/tq: all integers."""
+
+    scale: int
+    theta1: int
+    theta2: int  # M*theta2/tq^2, the factor of _w(z, alpha*tq, tn)
+    tn: int
+    tq: int
+    A1: int
+    A2: int
+    A3: int
+
+
+def _cleared(consts: CertConstants) -> _ClearedConstants:
+    tn, tq = consts.t.numerator, consts.t.denominator
+    scale, (theta1, theta2, A1, A2, A3) = over_common_denominator(
+        (consts.theta1, consts.theta2 / tq**2, consts.A1, consts.A2, consts.A3)
+    )
+    return _ClearedConstants(scale, theta1, theta2, tn, tq, A1, A2, A3)
+
+
+def _residual(z1, z2, z3, alpha, quad: BinomQuad, m: _ClearedConstants):
+    """M * (L - theta1*head^2 - theta2*W - V).  W is homogeneous of degree
+    2 in (alpha, t), so tq^2 * W(z, alpha, t) = _w(z, alpha*tq, tn)."""
     s1, s2, _ = _sigmas(z1, z2, z3)
     return (
-        _l(z1, z2, z3, alpha, consts.quad)
-        - consts.theta1 * _head(s1, s2, alpha, consts.quad) ** 2
-        - consts.theta2 * _w(z1, z2, z3, alpha, consts.t)
-        - _v(z1, z2, z3, alpha, consts)
+        m.scale * _l(z1, z2, z3, alpha, quad)
+        - m.theta1 * _head(s1, s2, alpha, quad) ** 2
+        - m.theta2 * _w(z1, z2, z3, alpha * m.tq, m.tn)
+        - _v(z1, z2, z3, alpha, m.A1, m.A2, m.A3)
     )
 
 
@@ -171,7 +238,7 @@ def v_value(z: Iterable[RationalLike], alpha: RationalLike, consts: CertConstant
     Nonnegative for in-range constants: A1 a^2 z_i^2 + A2 z_p^2 z_q^2 >=
     2 sqrt(A1 A2) |a s3| > |A3 a s3| / 3 for each of the three pairings.
     """
-    return _v(*as_triple(z), as_rational(alpha), consts)
+    return _v(*as_triple(z), as_rational(alpha), consts.A1, consts.A2, consts.A3)
 
 
 def l_value(z: Iterable[RationalLike], alpha: RationalLike, n: int, k: int) -> Fraction:
@@ -187,22 +254,27 @@ def decomposition_residual(
 
     Identically zero: the constants were solved to make it so, and the
     tests confirm this both at random points and by full coefficient
-    matching.
+    matching.  Evaluated as M * residual on the integer numerators of
+    (z1, z2, z3, alpha) over their common denominator D; every term is
+    homogeneous of degree 4, so the value is that integer over M*D^4.
     """
     consts = cert_constants(n, k)
-    return _residual(*as_triple(z), as_rational(alpha), consts)
+    cleared = _cleared(consts)
+    den, point = over_common_denominator((*as_triple(z), as_rational(alpha)))
+    return Fraction(_residual(*point, consts.quad, cleared), cleared.scale * den**4)
 
 
 def decomposition_coefficient_match(n: int, k: int) -> bool:
     """Expand the decomposition residual symbolically in (z1, z2, z3, alpha)
     and verify that every monomial coefficient vanishes.
 
-    The expansion runs the very helpers decomposition_residual evaluates,
-    over polys.MPoly variables, so it proves the identity for that code.
-    Conclusive where random-point sampling could in principle miss a
-    measure-zero discrepancy.
+    The expansion runs the very scaled residual decomposition_residual
+    evaluates, over polys.MPoly variables, so it proves the identity for
+    that code.  Conclusive where random-point sampling could in principle
+    miss a measure-zero discrepancy.
     """
-    return not _residual(*MPoly.variables(4), cert_constants(n, k))
+    consts = cert_constants(n, k)
+    return not _residual(*MPoly.variables(4), consts.quad, _cleared(consts))
 
 
 @dataclass(frozen=True)
@@ -233,7 +305,7 @@ def lemma31_check(n: int, k: int) -> Lemma31Report:
         k,
         3 * b * d - c**2,
         3 * a * c - b**2,
-        2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d,
+        _mixed_term(a, b, c, d),
     )
 
 
@@ -357,7 +429,8 @@ def is_special_window(n: int, k: int) -> bool:
 
 def theta_for(n: int, k: int) -> Fraction:
     """Certified admissible theta for the quantitative gap: 1/2 at k = 0,
-    k = n-1, and (n, k) = (3, 1); theta1(n, k) otherwise.
+    k = n-1, and (n, k) = (3, 1); theta1(n, k) otherwise, taken at the
+    scale-free quadruple, so no binomial is built at any n.
 
     Admissible, not claimed optimal.
     """
@@ -365,4 +438,4 @@ def theta_for(n: int, k: int) -> Fraction:
         raise ValueError(f"theta_for needs n >= 3 and 0 <= k <= n-1, got ({n}, {k})")
     if is_special_window(n, k):
         return Fraction(1, 2)
-    return cert_constants(n, k).theta1
+    return _theta1(*_scale_free_quad(n, k))

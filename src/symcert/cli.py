@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections.abc import Sequence
 
@@ -36,6 +37,13 @@ _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "
 _PRINTABLE_DIGITS = 4300
 _DIGIT_MARGIN = 100
 
+# Flags whose value is a rational.  argparse takes a separate value such
+# as -1/2 or -1e3 for an option, since only -2 and -0.5 match its
+# negative-number pattern; a token starting with "-" and a digit or "."
+# is no option of this parser, so it is joined to the flag before it.
+_RATIONAL_FLAGS = ("--alpha", "--theta")
+_NUMBER_AFTER_MINUS = re.compile(r"-[\d.]")
+
 
 def main(argv: Sequence[str] | None = None) -> None:
     sys.exit(run(list(sys.argv[1:] if argv is None else argv)))
@@ -44,7 +52,7 @@ def main(argv: Sequence[str] | None = None) -> None:
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_rational_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -63,6 +71,17 @@ def run(argv: Sequence[str]) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     return 1 if finding else 0
+
+
+def _join_rational_values(argv: Sequence[str]) -> list[str]:
+    """["--alpha", "-1/2"] -> ["--alpha=-1/2"], for each rational flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _NUMBER_AFTER_MINUS.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:

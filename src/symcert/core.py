@@ -178,7 +178,7 @@ class SymProfile:
         return [self.e_at(j) for j in range(self.n + 1)]
 
 
-def _over_common_denominator(point: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+def over_common_denominator(point: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     """(D, [x_i * D]) with D the lcm of the entries' denominators."""
     scale = math.lcm(*(v.denominator for v in point))
     return scale, [v.numerator * (scale // v.denominator) for v in point]
@@ -192,7 +192,7 @@ def sigma_all(x: Iterable[RationalLike]) -> SymProfile:
     """
     point = as_point(x)
     n = len(point)
-    scale, ints = _over_common_denominator(point)
+    scale, ints = over_common_denominator(point)
     sig = [1] + [0] * n
     for i, v in enumerate(ints, start=1):
         for k in range(i, 0, -1):
@@ -215,7 +215,7 @@ def sigma_naive(x: Iterable[RationalLike]) -> SymProfile:
     n = len(point)
     if n > NAIVE_LIMIT:
         raise ValueError(f"sigma_naive enumerates 2^n subsets; refusing n={n} > {NAIVE_LIMIT}")
-    scale, ints = _over_common_denominator(point)
+    scale, ints = over_common_denominator(point)
     sig = [Fraction(1)]
     for k in range(1, n + 1):
         total = sum(math.prod(c) for c in combinations(ints, k))

@@ -35,9 +35,47 @@ from symcert.gaps import quantitative_gap
 
 F = Fraction
 
-window_pairs = st.integers(4, 9).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(1, n - 2))
+
+
+def windows_up_to(n_max):
+    return st.integers(4, n_max).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2)))
+
+
+window_pairs = windows_up_to(9)
+
+# denominators up to 10^6, with zeros and negatives
+wide_rationals = st.just(F(0)) | st.fractions(
+    min_value=-10, max_value=10, max_denominator=10**6
 )
+wide_triples = st.tuples(wide_rationals, wide_rationals, wide_rationals)
+bumps = st.fractions(min_value=-1, max_value=1, max_denominator=10**6).filter(bool)
+CONSTANT_NAMES = ["theta1", "theta2", "t", "A1", "A2", "A3"]
+
+
+def reference_residual(z, alpha, consts):
+    """L - theta1*head^2 - theta2*W - V in Fraction arithmetic, written
+    out here apart from the certificate module's helpers."""
+    z1, z2, z3 = map(F, z)
+    alpha = F(alpha)
+    a, b, c, d = consts.quad.a, consts.quad.b, consts.quad.c, consts.quad.d
+    s1, s2, s3 = z1 + z2 + z3, z1 * z2 + z1 * z3 + z2 * z3, z1 * z2 * z3
+    head = alpha * b * s1 + c * s2
+    gap = head**2 - (3 * alpha * a + b * s1) * (alpha * c * s2 + 3 * d * s3)
+    t = consts.t
+    w = sum(
+        (p - q) ** 2 * (alpha + t * r) ** 2 for p, q, r in ((z1, z2, z3), (z1, z3, z2), (z2, z3, z1))
+    )
+    v = (
+        consts.A1 * alpha**2 * (z1**2 + z2**2 + z3**2)
+        + consts.A2 * (z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2)
+        + consts.A3 * alpha * s3
+    )
+    return gap - consts.theta1 * head**2 - consts.theta2 * w - v
+
+
+def perturbed(n, k, name, bump):
+    exact = cert_constants(n, k)
+    return dataclasses.replace(exact, **{name: getattr(exact, name) + bump})
 
 
 class TestBinomQuad:
@@ -175,6 +213,46 @@ class TestDecomposition:
         assert decomposition_residual((1, 2, 3), F(1, 3), 5, 2) != 0
 
 
+class TestIntegerResidual:
+    """decomposition_residual runs on integers over one cleared
+    denominator; it must equal the plain Fraction residual for any
+    constants, not only the ones that make it vanish."""
+
+    @given(wide_triples, wide_rationals, windows_up_to(60))
+    def test_matches_fraction_reference(self, z, alpha, pair):
+        expected = reference_residual(z, alpha, cert_constants(*pair))
+        assert decomposition_residual(z, alpha, *pair) == expected == 0
+
+    @pytest.mark.parametrize("name", CONSTANT_NAMES)
+    @given(z=wide_triples, alpha=wide_rationals, pair=windows_up_to(60), bump=bumps)
+    def test_matches_fraction_reference_off_the_identity(self, name, z, alpha, pair, bump):
+        consts = perturbed(*pair, name, bump)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("symcert.certificate.cert_constants", lambda n, k: consts)
+            value = decomposition_residual(z, alpha, *pair)
+        assert value == reference_residual(z, alpha, consts)
+
+    @pytest.mark.parametrize("name", CONSTANT_NAMES)
+    def test_perturbed_values_are_nonzero(self, monkeypatch, name):
+        consts = perturbed(7, 3, name, F(1, 997))
+        monkeypatch.setattr("symcert.certificate.cert_constants", lambda n, k: consts)
+        z, alpha = (F(2, 3), F(-5, 7), F(11, 13)), F(-3, 17)
+        value = decomposition_residual(z, alpha, 7, 3)
+        assert value != 0
+        assert value == reference_residual(z, alpha, consts)
+
+    @given(wide_triples, wide_rationals, wide_rationals, bumps)
+    def test_homogeneous_of_degree_four(self, z, alpha, scale, bump):
+        # clearing the point's denominator D divides the value by D^4
+        consts = perturbed(9, 4, "A3", bump)
+        scaled = tuple(scale * v for v in z)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("symcert.certificate.cert_constants", lambda n, k: consts)
+            base = decomposition_residual(z, alpha, 9, 4)
+            assert decomposition_residual(scaled, scale * alpha, 9, 4) == scale**4 * base
+        assert base == reference_residual(z, alpha, consts)
+
+
 class TestLemmaScans:
     def test_lemma31_four_one(self):
         report = lemma31_check(4, 1)
@@ -303,6 +381,15 @@ class TestThetaFor:
     def test_endpoints(self, n):
         assert theta_for(n, 0) == F(1, 2)
         assert theta_for(n, n - 1) == F(1, 2)
+
+    def test_equals_binomial_theta1_below_80(self):
+        for n in range(4, 80):
+            for k in range(1, n - 1):
+                assert theta_for(n, k) == cert_constants(n, k).theta1
+
+    @given(windows_up_to(2000))
+    def test_equals_binomial_theta1_up_to_2000(self, pair):
+        assert theta_for(*pair) == cert_constants(*pair).theta1
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

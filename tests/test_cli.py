@@ -120,6 +120,35 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --theta applies only to --ineq quantitative, not {argv[1]}\n"
 
+    GEN_NM = ("verify", "--ineq", "gen-nm", "--x", '["1","2","3","4"]', "--k", "1")
+
+    def test_negative_rational_as_separate_argument(self, capsys):
+        # argparse alone takes -1/2 for an option and exits 2
+        separate = invoke(capsys, *self.GEN_NM, "--alpha", "-1/2")
+        joined = invoke(capsys, *self.GEN_NM, "--alpha=-1/2")
+        assert separate == joined
+        assert separate[0] == 0 and json.loads(separate[1])["alpha"] == "-1/2"
+
+    def test_negative_decimal_exponent_as_separate_argument(self, capsys):
+        code, data, err = invoke_json(capsys, *self.GEN_NM, "--alpha", "-1e3")
+        assert (code, err) == (0, "")
+        assert data["alpha"] == "-1000"
+
+    def test_negative_theta_as_separate_argument(self, capsys):
+        # parsed as the value of --theta, so the range check answers, not argparse
+        code, out, err = invoke(
+            capsys,
+            "verify", "--ineq", "quantitative", "--x", '["1","2","3","4"]',
+            "--alpha", "-2", "--k", "1", "--theta", "-1/3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: theta must lie in (0, 1), got -1/3\n"
+
+    def test_option_after_rational_flag_is_not_its_value(self, capsys):
+        code, out, err = invoke(capsys, *self.GEN_NM[:-2], "--alpha", "--k", "1")
+        assert (code, out) == (2, "")
+        assert "--alpha: expected one argument" in err
+
     def test_liu_ren_precondition_error(self, capsys):
         code, out, err = invoke(
             capsys,
@@ -190,6 +219,14 @@ class TestCertificateCommands:
         code, data, _ = invoke_json(capsys, "theta", "--n", "3", "--k", "1")
         assert code == 0
         assert data == {"n": 3, "k": 1, "theta": "1/2", "source": "special-case"}
+
+    def test_theta_at_large_n_in_bounded_time(self, capsys):
+        # C(2*10^6, 10^6) alone would take tens of seconds to build
+        start = time.perf_counter()
+        code, data, err = invoke_json(capsys, "theta", "--n", "2000000", "--k", "1000000")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert data["source"] == "certificate"
 
     def test_pass_fields_are_window_check(self, capsys):
         _, lemmas, _ = invoke_json(capsys, "lemmas", "--n-max", "10")
