@@ -41,6 +41,9 @@ _DIGIT_MARGIN = 100
 # as -1/2 or -1e3 for an option, since only -2 and -0.5 match its
 # negative-number pattern; a token starting with "-" and a digit or "."
 # is no option of this parser, so it is joined to the flag before it.
+# argparse also takes any unique prefix of a flag ("--alph"), and no other
+# option of this parser starts with "--a" or "--t", so every prefix past
+# "--" names one of these flags.
 _RATIONAL_FLAGS = ("--alpha", "--theta")
 _NUMBER_AFTER_MINUS = re.compile(r"-[\d.]")
 
@@ -74,14 +77,19 @@ def run(argv: Sequence[str]) -> int:
 
 
 def _join_rational_values(argv: Sequence[str]) -> list[str]:
-    """["--alpha", "-1/2"] -> ["--alpha=-1/2"], for each rational flag."""
+    """["--alpha", "-1/2"] -> ["--alpha=-1/2"], for each rational flag or
+    a prefix of it that argparse would accept ("--alph")."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _RATIONAL_FLAGS and _NUMBER_AFTER_MINUS.match(token):
+        if out and _is_rational_flag(out[-1]) and _NUMBER_AFTER_MINUS.match(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
+
+
+def _is_rational_flag(token: str) -> bool:
+    return len(token) > 2 and any(flag.startswith(token) for flag in _RATIONAL_FLAGS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -184,25 +184,30 @@ def over_common_denominator(point: tuple[Fraction, ...]) -> tuple[int, list[int]
     return scale, [v.numerator * (scale // v.denominator) for v in point]
 
 
-def sigma_all(x: Iterable[RationalLike]) -> SymProfile:
-    """Evaluate sigma_0..sigma_n by the single-pass recurrence
-    S_k += X_i * S_{k-1}, k descending for each new element, on the
-    integer numerators X_i = x_i * D over one common denominator D;
-    then sigma_k = S_k / D^k.
-    """
-    point = as_point(x)
-    n = len(point)
-    scale, ints = over_common_denominator(point)
-    sig = [1] + [0] * n
+def _sigma_numerators(ints: list[int]) -> list[int]:
+    """S_0..S_n of the integer numerators X_i = x_i * D, by the
+    single-pass recurrence S_k += X_i * S_{k-1}, k descending for each
+    new element; sigma_k = S_k / D^k."""
+    sig = [1] + [0] * len(ints)
     for i, v in enumerate(ints, start=1):
         for k in range(i, 0, -1):
             sig[k] += v * sig[k - 1]
+    return sig
+
+
+def sigma_all(x: Iterable[RationalLike]) -> SymProfile:
+    """Evaluate sigma_0..sigma_n on the integer numerators of the point
+    over one common denominator D; then sigma_k = S_k / D^k.
+    """
+    point = as_point(x)
+    scale, ints = over_common_denominator(point)
+    sig = _sigma_numerators(ints)
     out = []
     den = 1
     for s in sig:
         out.append(Fraction(s, den))
         den *= scale
-    return SymProfile(n, tuple(out))
+    return SymProfile(len(point), tuple(out))
 
 
 def sigma_naive(x: Iterable[RationalLike]) -> SymProfile:

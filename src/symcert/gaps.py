@@ -192,11 +192,26 @@ def linear_combo_gap(
     weights = [as_rational(c) for c in coeffs]
     if not weights:
         raise PreconditionError("need at least one coefficient")
-    e = sigma_all(point).e_at
-    mid = sum((c * e(k) for k, c in enumerate(weights, start=1)), Fraction(0))
-    low = sum((c * e(k - 1) for k, c in enumerate(weights, start=1)), Fraction(0))
-    high = sum((c * e(k + 1) for k, c in enumerate(weights, start=1)), Fraction(0))
-    return GapReport.from_sides(mid * mid, low * high)
+    return GapReport.from_sides(*_combo_sides(sigma_all(point).e_list(), weights))
+
+
+def _combo_sides(
+    means: Sequence[Fraction], weights: Sequence[Fraction]
+) -> tuple[Fraction, Fraction]:
+    """(mid^2, low*high) for the combination sum_k a_k E_k (k = 1..m) over
+    the means E_0..E_n, zero past the ends.  Zero weights add nothing, so
+    they are skipped."""
+    top = len(means) - 1
+    mid = low = high = Fraction(0)
+    for k, c in enumerate(weights, start=1):
+        if c:
+            if k <= top:
+                mid += c * means[k]
+            if k - 1 <= top:
+                low += c * means[k - 1]
+            if k + 1 <= top:
+                high += c * means[k + 1]
+    return mid * mid, low * high
 
 
 def quantitative_gap(

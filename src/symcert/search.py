@@ -5,6 +5,13 @@ reported from float evidence: every would-be witness is rationalized by
 continued fractions and re-verified in exact arithmetic first.  Sampling
 is keyed per iteration, so identical (seed, budget, parameters) produce
 identical reports.
+
+Sampling, the float prefilter and the theta ratio run on Python
+integers: a sampled point (with alpha) goes over one common denominator
+D and its sigmas are the integer numerators S_j = sigma_j * D^j, so no
+Fraction is built for a sigma, a mean or a window term.  The prefilter
+reads each mean as S_j / (D^j C(n, j)), the same correctly rounded float
+as float(E_j), and every ratio, gap and witness is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -21,10 +28,12 @@ from .core import (
     CertificateViolation,
     JsonResult,
     RationalLike,
+    _sigma_numerators,
     as_rational,
+    over_common_denominator,
     sigma_all,
 )
-from .gaps import _window, linear_combo_gap
+from .gaps import _combo_sides, _window, linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
@@ -35,13 +44,38 @@ def _rng_for(seed: int, iteration: int) -> random.Random:
     return random.Random(seed * _SEED_STRIDE + iteration)
 
 
+def _rationalize(x: float) -> Fraction:
+    """Fraction(x).limit_denominator(10^6), by the same continued-fraction
+    walk on the integers of x.as_integer_ratio().  The last step picks
+    the nearer of the two final convergent bounds by one integer
+    comparison, as the stdlib does since Python 3.12 (earlier versions
+    compare the two Fraction distances, which selects the same bound)."""
+    num, den = x.as_integer_ratio()
+    if den <= _DENOMINATOR_BOUND:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _DENOMINATOR_BOUND:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (_DENOMINATOR_BOUND - q0) // q1
+    # p1/q1 lies d/(q1*den) from x, the other bound 1/(q1*(q0+k*q1)) from p1/q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def _sample_entry(rng: random.Random, negative_rate: float = 0.35) -> Fraction:
     """Signed log-uniform magnitude exp(U[-3, 3]), rationalized by
     continued fractions with denominators capped at 10^6."""
     magnitude = math.exp(rng.uniform(-3.0, 3.0))
     if rng.random() < negative_rate:
         magnitude = -magnitude
-    return Fraction(magnitude).limit_denominator(_DENOMINATOR_BOUND)
+    return _rationalize(magnitude)
 
 
 @dataclass(frozen=True)
@@ -92,8 +126,15 @@ def _sample_coeffs(rng: random.Random, m: int) -> tuple[Fraction, ...]:
 
 
 def _float_combo_gap(point: Sequence[Fraction], coeffs: Sequence[Fraction]) -> float:
-    means = [float(v) for v in sigma_all(point).e_list()]
+    """The combination gap in floats, each mean E_j correctly rounded from
+    the integer quotient S_j / (D^j C(n, j))."""
     n = len(point)
+    scale, ints = over_common_denominator(point)
+    means = []
+    power = 1
+    for j, s in enumerate(_sigma_numerators(ints)):
+        means.append(s / (power * math.comb(n, j)))
+        power *= scale
 
     def mean_at(j: int) -> float:
         return means[j] if 0 <= j <= n else 0.0
@@ -116,13 +157,13 @@ def _refine_point(
     best so far: each candidate moves one of its coordinates, so only
     that coordinate is rationalized again, and restored on rejection."""
     current = [float(v) for v in point]
-    rational = [Fraction(v).limit_denominator(_DENOMINATOR_BOUND) for v in current]
+    rational = [_rationalize(v) for v in current]
     best_gap = _float_combo_gap(rational, coeffs)
     for _ in range(steps):
         idx = rng.randrange(len(current))
         saved = current[idx], rational[idx]
         current[idx] = saved[0] * math.exp(rng.gauss(0.0, 0.3))
-        rational[idx] = Fraction(current[idx]).limit_denominator(_DENOMINATOR_BOUND)
+        rational[idx] = _rationalize(current[idx])
         gap = _float_combo_gap(rational, coeffs)
         if gap < best_gap:
             best_gap = gap
@@ -208,11 +249,14 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
             point = (-alpha + jitter,) + (-alpha,) * (n - 2) + (tail,)
         else:
             point = tuple(_sample_entry(rng, negative_rate=0.5) for _ in range(n))
-        p, s, q = _window(sigma_all(point).sigma_at, alpha, k)
+        # over D the window is (D^k p, D^(k+1) s, D^(k+2) q): the powers cancel
+        scale, ints = over_common_denominator((alpha, *point))
+        sig = _sigma_numerators(ints[1:])
+        p, s, q = _window(lambda j: sig[j] if 0 <= j <= n else 0, ints[0], k)
         if s == 0:
             skipped += 1
             continue
-        ratio = 1 - p * q / s**2
+        ratio = 1 - Fraction(p * q, s * s)
         if ratio < certified:
             raise CertificateViolation(
                 f"ratio {ratio} below certified theta {certified} at (n, k) = ({n}, {k}); "
@@ -311,18 +355,19 @@ def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanRe
     positive = zero = negative = 0
     witnesses: list[Witness] = []
     evaluated = 0
+    points = [(point, sigma_all(point).e_list()) for point in _grid_points(n + 1, grid)]
     for coeffs in _family_vectors(family, n, grid):
-        for point in _grid_points(n + 1, grid):
-            report = linear_combo_gap(point, coeffs)
-            if report.gap > 0:
+        for point, means in points:
+            lhs, rhs = _combo_sides(means, coeffs)
+            if lhs > rhs:
                 positive += 1
-            elif report.gap == 0:
+            elif lhs == rhs:
                 zero += 1
             else:
                 negative += 1
                 if len(witnesses) < _WITNESS_CAP:
                     witnesses.append(
-                        Witness(point, coeffs, None, None, report.gap, "Conjecture15", 0, evaluated)
+                        Witness(point, coeffs, None, None, lhs - rhs, "Conjecture15", 0, evaluated)
                     )
             evaluated += 1
     return ScanReport(family, n, evaluated, positive, zero, negative, tuple(witnesses))

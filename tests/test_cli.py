@@ -149,6 +149,24 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "--alpha: expected one argument" in err
 
+    def test_abbreviated_flag_takes_negative_rational(self, capsys):
+        # argparse accepts the prefix --alph for --alpha; its value is joined too
+        abbreviated = invoke(capsys, *self.GEN_NM, "--alph", "-1/2")
+        assert abbreviated == invoke(capsys, *self.GEN_NM, "--alpha=-1/2")
+        assert abbreviated[0] == 0
+
+    def test_abbreviated_theta_takes_negative_rational(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "verify", "--ineq", "quantitative", "--x", '["1","2","3","4"]',
+            "--alpha", "-2", "--k", "1", "--thet", "-1/4",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: theta must lie in (0, 1), got -1/4\n"
+
+    def test_other_abbreviations_still_parse(self, capsys):
+        assert invoke(capsys, "lemmas", "--n-m", "5") == invoke(capsys, "lemmas", "--n-max", "5")
+
     def test_liu_ren_precondition_error(self, capsys):
         code, out, err = invoke(
             capsys,

@@ -1,17 +1,25 @@
 """Search tests: determinism, exact re-verification of every witness, the
-empirical theta bracket, and the structured family scans."""
+empirical theta bracket, and the structured family scans.
+
+The reference_* functions are plain Fraction versions of the search
+kernels (stdlib rationalizer, float(E_j) means, one exact gap per point
+and coefficient vector); the integer kernels must match them exactly."""
 
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from symcert import search
 from symcert.certificate import theta_for
+from symcert.core import sigma_all
 from symcert.gaps import linear_combo_gap
 from symcert.search import (
     CertificateViolation,
     ScanGrid,
+    Witness,
     empirical_theta,
     find_counterexample_15,
     structured_scan,
@@ -20,23 +28,217 @@ from symcert.search import (
 F = Fraction
 
 
+def reference_rationalize(x):
+    return F(x).limit_denominator(10**6)
+
+
+def reference_sample_entry(rng, negative_rate=0.35):
+    magnitude = math.exp(rng.uniform(-3.0, 3.0))
+    if rng.random() < negative_rate:
+        magnitude = -magnitude
+    return reference_rationalize(magnitude)
+
+
+def reference_sample_coeffs(rng, m):
+    while True:
+        out = []
+        for _ in range(m):
+            roll = rng.random()
+            if roll < 0.5:
+                out.append(F(0))
+            elif roll < 0.85:
+                out.append(F(rng.choice((1, -1))))
+            else:
+                out.append(reference_sample_entry(rng))
+        if any(out):
+            return tuple(out)
+
+
+def reference_float_combo_gap(point, coeffs):
+    """The combination gap on float(E_j) of the exact means."""
+    means = [float(v) for v in sigma_all(point).e_list()]
+    n = len(point)
+
+    def mean_at(j):
+        return means[j] if 0 <= j <= n else 0.0
+
+    cs = [float(c) for c in coeffs]
+    mid = sum(c * mean_at(j) for j, c in enumerate(cs, start=1))
+    low = sum(c * mean_at(j - 1) for j, c in enumerate(cs, start=1))
+    high = sum(c * mean_at(j + 1) for j, c in enumerate(cs, start=1))
+    return mid * mid - low * high
+
+
+def reference_combo_gap(point, coeffs):
+    e = sigma_all(point).e_at
+    mid = sum((c * e(k) for k, c in enumerate(coeffs, start=1)), F(0))
+    low = sum((c * e(k - 1) for k, c in enumerate(coeffs, start=1)), F(0))
+    high = sum((c * e(k + 1) for k, c in enumerate(coeffs, start=1)), F(0))
+    return mid * mid - low * high
+
+
 def reference_refine_point(rng, point, coeffs, steps=60):
     """Greedy refinement that rationalizes every coordinate of every
     candidate; _refine_point must return the same point."""
     best = [float(v) for v in point]
-    best_gap = search._float_combo_gap([F(v).limit_denominator(10**6) for v in best], coeffs)
+    best_gap = reference_float_combo_gap([reference_rationalize(v) for v in best], coeffs)
     current = list(best)
     for _ in range(steps):
         idx = rng.randrange(len(current))
         saved = current[idx]
         current[idx] = saved * math.exp(rng.gauss(0.0, 0.3))
-        gap = search._float_combo_gap([F(v).limit_denominator(10**6) for v in current], coeffs)
+        gap = reference_float_combo_gap([reference_rationalize(v) for v in current], coeffs)
         if gap < best_gap:
             best_gap = gap
             best = list(current)
         else:
             current[idx] = saved
-    return tuple(F(v).limit_denominator(10**6) for v in best)
+    return tuple(reference_rationalize(v) for v in best)
+
+
+def reference_find_counterexample_15(m, n, seed, budget):
+    anchors = search._anchor_candidates(m, n)
+    for iteration in range(budget):
+        if iteration < len(anchors):
+            coeffs, point = anchors[iteration]
+        else:
+            rng = search._rng_for(seed, iteration)
+            coeffs = reference_sample_coeffs(rng, m)
+            point = tuple(reference_sample_entry(rng) for _ in range(n))
+            estimate = reference_float_combo_gap(point, coeffs)
+            if estimate >= 0:
+                scale = abs(estimate) + sum(abs(float(v)) for v in point) + 1.0
+                if estimate > 0.02 * scale:
+                    continue
+                point = reference_refine_point(rng, point, coeffs)
+        gap = reference_combo_gap(point, coeffs)
+        if gap < 0:
+            return Witness(point, coeffs, None, None, gap, "Conjecture15", seed, iteration)
+    return None
+
+
+def reference_empirical_theta(n, k, samples, seed):
+    certified = theta_for(n, k)
+    skipped = 0
+    min_ratio = argmin = None
+    for i in range(samples):
+        rng = search._rng_for(seed, i)
+        alpha = reference_sample_entry(rng, negative_rate=0.5)
+        if i % 8 == 7:
+            tail = reference_sample_entry(rng)
+            jitter = F(rng.randint(-1, 1), 10**4)
+            point = (-alpha + jitter,) + (-alpha,) * (n - 2) + (tail,)
+        else:
+            point = tuple(reference_sample_entry(rng, negative_rate=0.5) for _ in range(n))
+        s = sigma_all(point).sigma_at
+        p, d, q = (alpha * s(j - 1) + s(j) for j in (k, k + 1, k + 2))
+        if d == 0:
+            skipped += 1
+            continue
+        ratio = 1 - p * q / d**2
+        assert ratio >= certified
+        if min_ratio is None or ratio < min_ratio:
+            min_ratio = ratio
+            argmin = Witness(point, None, alpha, k, ratio, "ThetaRatio", seed, i)
+    return search.ThetaSummary(n, k, samples, skipped, certified, min_ratio, argmin)
+
+
+def reference_structured_scan(family, n, grid=None):
+    grid = grid or ScanGrid()
+    counts = {"positive": 0, "zero": 0, "negative": 0}
+    witnesses = []
+    evaluated = 0
+    for coeffs in search._family_vectors(family, n, grid):
+        for point in search._grid_points(n + 1, grid):
+            gap = reference_combo_gap(point, coeffs)
+            if gap > 0:
+                counts["positive"] += 1
+            elif gap == 0:
+                counts["zero"] += 1
+            else:
+                counts["negative"] += 1
+                if len(witnesses) < 10:
+                    witnesses.append(
+                        Witness(point, coeffs, None, None, gap, "Conjecture15", 0, evaluated)
+                    )
+            evaluated += 1
+    return search.ScanReport(
+        family, n, evaluated, counts["positive"], counts["zero"], counts["negative"],
+        tuple(witnesses),
+    )
+
+
+def _json(result):
+    return None if result is None else result.to_json_dict()
+
+
+class TestRationalize:
+    @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(1e300)
+    @example(-1e300)
+    @example(3.0)
+    @example(-0.0)
+    @example(0.1)
+    def test_matches_limit_denominator(self, x):
+        result = search._rationalize(x)
+        expected = reference_rationalize(x)
+        assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
+
+    def test_dyadic_fractions_past_the_bound(self):
+        # denominator 2^20 > 10^6: every one of these takes the last step
+        for m in range(1, 200_001, 2):
+            x = m / 2**20
+            assert search._rationalize(x) == reference_rationalize(x), m
+
+
+class TestFloatComboGap:
+    @given(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=100), min_size=1, max_size=6
+        ),
+    )
+    def test_matches_float_of_exact_means(self, point, coeffs):
+        result = search._float_combo_gap(tuple(point), tuple(coeffs))
+        expected = reference_float_combo_gap(tuple(point), tuple(coeffs))
+        assert result == expected
+
+
+class TestMatchesFractionReference:
+    @pytest.mark.parametrize(
+        "n, k, seed",
+        [(3, 1, 0), (3, 1, 4), (5, 0, 1), (5, 4, 2), (6, 2, 3), (8, 3, 5), (12, 0, 6),
+         (12, 11, 7)],
+    )
+    def test_empirical_theta(self, n, k, seed):
+        assert _json(empirical_theta(n, k, 48, seed)) == _json(
+            reference_empirical_theta(n, k, 48, seed)
+        )
+
+    # m = 2 never hits, so those hunts spend their whole budget; (3, 4)
+    # hits at the anchor, and the rest hit on a sampled point
+    @pytest.mark.parametrize(
+        "m, n, seed, budget",
+        [(2, 3, 1, 128), (2, 4, 2, 64), (3, 4, 0, 64), (3, 5, 3, 32), (4, 5, 9, 120),
+         (5, 3, 4, 40)],
+    )
+    def test_find_counterexample_15(self, m, n, seed, budget):
+        assert _json(find_counterexample_15(m, n, seed, budget)) == _json(
+            reference_find_counterexample_15(m, n, seed, budget)
+        )
+
+    @pytest.mark.parametrize("family", search.FAMILIES)
+    @pytest.mark.parametrize("n, grid", [(3, None), (4, ScanGrid.of(["3", "1", "-1/2"]))])
+    def test_structured_scan(self, family, n, grid):
+        assert _json(structured_scan(family, n, grid)) == _json(
+            reference_structured_scan(family, n, grid)
+        )
 
 
 class TestFindCounterexample:
