@@ -427,11 +427,3 @@ def _cmd_report(args: argparse.Namespace) -> tuple[object, bool]:
         return {"written": args.out, "n_max": args.n_max}, False
     return document, not document["checks"]["all_pass"]
 
-
-def __getattr__(name: str) -> object:
-    # symcert.cli.report_bundle, without importing report for every command
-    if name == "report_bundle":
-        from .report import report_bundle
-
-        return report_bundle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

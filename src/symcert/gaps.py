@@ -113,9 +113,9 @@ def maclaurin_chain_check(x: Iterable[RationalLike]) -> bool:
     point = as_point(x)
     if any(v < 0 for v in point):
         raise PreconditionError("the Maclaurin chain needs nonnegative entries")
-    means = sigma_all(point).e_list()
-    n = len(point)
-    return all(means[k] ** (k + 1) >= means[k + 1] ** k for k in range(1, n))
+    # at alpha = 0 every term is E_{m+1} >= 0, so the generalized chain
+    # compares exactly E_k^(k+1) >= E_{k+1}^k for k = 1..n-1
+    return gen_maclaurin_chain(point, 0).holds
 
 
 def gen_nm_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapReport:

@@ -53,11 +53,13 @@ def _primitive(p: Sequence[int]) -> IntPoly:
 def primitive_part(p: Sequence[Fraction]) -> IntPoly:
     """The primitive integer polynomial that is a positive multiple of p
     (rational or integer coefficients); [] for the zero polynomial."""
+    # imported on use, so `import symcert.polys` does not load core's imports
+    from .core import over_common_denominator
+
     q = trim(p)
     if not q:
         return []
-    scale = math.lcm(*(c.denominator for c in q))
-    return _primitive([c.numerator * (scale // c.denominator) for c in q])
+    return _primitive(over_common_denominator(q)[1])
 
 
 def _negated_prem(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -7,8 +7,12 @@ partials of total order n-3 are proportional to the cubics
     E_{k-1} t^3 - 3 E_k t^2 s + 3 E_{k+1} t s^2 - E_{k+2} s^3,
 
 one for each window k = 1..n-2.  Real-rootedness is decided exactly
-(Sturm chains / discriminant signs over rationals); floating-point roots
-are a convenience output only and never feed an exact check.
+(Sturm chains / discriminant signs over rationals); the decimal roots
+are a convenience output only and never feed an exact check.  They are
+printed to ROOT_DIGITS significant digits, but what is guaranteed is a
+residual below 1e-12 relative to the largest coefficient: the printed
+digits are not certified, and closely spaced roots can be right to as
+few as 9 of them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .core import (
     as_triple,
     binomial,
     e_all,
+    over_common_denominator,
     sigma_all,
     to_json,
 )
@@ -66,13 +71,19 @@ class Cubic(JsonResult):
         return {"coefficients": to_json(self.coefficients())}
 
 
-def associated_cubic(x: Iterable[RationalLike], k: int) -> Cubic:
+def _window_means(x: Iterable[RationalLike], k: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(E_{k-1}, E_k, E_{k+1}, E_{k+2}) of the point, for 1 <= k <= n-2."""
     point = as_point(x)
     n = len(point)
     if n < 3 or not 1 <= k <= n - 2:
         raise ValueError(f"need n >= 3 and 1 <= k <= n-2, got k={k}, n={n}")
     e = sigma_all(point).e_at
-    return Cubic(e(k - 1), -3 * e(k), 3 * e(k + 1), -e(k + 2))
+    return (e(k - 1), e(k), e(k + 1), e(k + 2))
+
+
+def associated_cubic(x: Iterable[RationalLike], k: int) -> Cubic:
+    e0, e1, e2, e3 = _window_means(x, k)
+    return Cubic(e0, -3 * e1, 3 * e2, -e3)
 
 
 def cubic_discriminant(cubic: Cubic | Sequence[RationalLike]) -> Fraction:
@@ -134,11 +145,9 @@ def derivative_cascade(x: Iterable[RationalLike]) -> CascadeResult:
     n = len(point)
     if n < 3:
         raise ValueError(f"the cascade needs n >= 3, got n={n}")
-    means = sigma_all(point).e_list()
     # the means over one common denominator: each cascade polynomial is
     # then an integer polynomial divided by `scale`
-    scale = math.lcm(*(e.denominator for e in means))
-    scaled = [e.numerator * (scale // e.denominator) for e in means]
+    scale, scaled = over_common_denominator(sigma_all(point).e_list())
     levels = []
     for order in range(n - 2):
         deg = n - order
@@ -181,23 +190,16 @@ def reduce_to_three(x: Iterable[RationalLike], k: int) -> RootTriple:
     branch is degenerate and the direct gap (see degenerate_direct_gap)
     applies.
     """
-    point = as_point(x)
-    n = len(point)
-    if n < 3 or not 1 <= k <= n - 2:
-        raise ValueError(f"need n >= 3 and 1 <= k <= n-2, got k={k}, n={n}")
-    e = sigma_all(point).e_at
-    if e(k - 1) != 0:
-        lead = e(k - 1)
-        moments = (e(k) / lead, e(k + 1) / lead, e(k + 2) / lead)
+    means = _window_means(x, k)
+    if means[0] != 0:
         branch = Branch.CASE_A
-    elif e(k + 2) != 0:
-        lead = e(k + 2)
-        moments = (e(k + 1) / lead, e(k) / lead, e(k - 1) / lead)
+    elif means[3] != 0:
+        means = means[::-1]
         branch = Branch.CASE_B
     else:
-        return RootTriple(
-            Branch.DEGENERATE, None, None, ROOT_DIGITS, degenerate_means=(e(k), e(k + 1))
-        )
+        return RootTriple(Branch.DEGENERATE, None, None, ROOT_DIGITS, degenerate_means=means[1:3])
+    lead = means[0]
+    moments = (means[1] / lead, means[2] / lead, means[3] / lead)
     m1, m2, m3 = moments
     roots = real_cubic_roots(-3 * m1, 3 * m2, -m3)
     return RootTriple(branch, moments, tuple(_decimal_str(r) for r in roots), ROOT_DIGITS)
@@ -342,14 +344,14 @@ def _roots_acceptable(scaled: polys.IntPoly, roots: Sequence[Fraction]) -> bool:
 
 
 def _bisection_roots(poly: polys.Poly) -> list[Fraction]:
-    """Exact Sturm isolation and bisection for a monic cubic with three
-    distinct real roots, followed by one Newton polish each.  Intervals
-    carry the sign-change counts of their ends, so each cut evaluates the
-    chain once, at the new point."""
+    """Exact Sturm isolation for a monic cubic with three distinct real
+    roots, then bisection of each isolated root (see _tighten_root).
+    Isolating intervals carry the sign-change counts of their ends, so
+    each cut evaluates the chain once, at the new point."""
     chain = polys.sturm_chain(poly)
+    # Cauchy's bound: every root of the monic cubic lies strictly inside
+    # |t| < 1 + max|c_i|, so neither end is a root
     bound = Fraction(1) + max(abs(c) for c in poly)
-    while polys.sign_at(chain[0], bound) == 0 or polys.sign_at(chain[0], -bound) == 0:
-        bound += 1
     lo, hi = -bound, bound
     stack = [(lo, polys.sign_changes_at(chain, lo), hi, polys.sign_changes_at(chain, hi))]
     roots: list[Fraction] = []
@@ -359,7 +361,7 @@ def _bisection_roots(poly: polys.Poly) -> list[Fraction]:
         if count == 0:
             continue
         if count == 1:
-            roots.append(_tighten_root(chain, lo, v_lo, hi))
+            roots.append(_tighten_root(chain[0], lo, hi))
             continue
         mid = _nonroot_point(chain[0], lo, hi)
         v_mid = polys.sign_changes_at(chain, mid)
@@ -377,22 +379,22 @@ def _nonroot_point(p0: polys.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
     return point
 
 
-def _tighten_root(
-    chain: Sequence[polys.IntPoly], lo: Fraction, v_lo: int, hi: Fraction
-) -> Fraction:
-    """Bisect (lo, hi], which holds one root and has v_lo sign changes at
-    lo, then take one Newton step on the chain's first (integer) entry."""
+def _tighten_root(p0: polys.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
+    """Bisect (lo, hi], which holds one simple root and whose ends are not
+    roots, on the sign of the integer cubic p0 alone; then take one
+    Newton step on p0."""
+    s_lo = polys.sign_at(p0, lo)
     while hi - lo > _BISECTION_WIDTH:
         mid = (lo + hi) / 2
-        if polys.sign_at(chain[0], mid) == 0:
+        s_mid = polys.sign_at(p0, mid)
+        if s_mid == 0:
             return mid
-        v_mid = polys.sign_changes_at(chain, mid)
-        if v_lo - v_mid == 1:
+        if s_mid != s_lo:
             hi = mid
         else:
-            lo, v_lo = mid, v_mid
+            lo = mid
     r = ((lo + hi) / 2).limit_denominator(_NEWTON_DEN_BOUND)
-    polished = _newton_step(chain[0], r)
+    polished = _newton_step(p0, r)
     return r if polished is None else polished
 
 

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from conftest import horner, rand_fraction
+from symcert import report_bundle
 from symcert.certificate import (
     cert_constants,
     decomposition_coefficient_match,
@@ -24,7 +25,6 @@ from symcert.certificate import (
     lemma32_check,
     theta_for,
 )
-from symcert.cli import report_bundle
 from symcert.core import e_all, sigma_all, sigma_naive
 from symcert.gaps import (
     EqualityCase,

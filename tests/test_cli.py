@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from symcert import report_bundle
 from symcert.certificate import window_check
-from symcert.cli import report_bundle, run
+from symcert.cli import run
 
 F = Fraction
 

@@ -337,6 +337,7 @@ class TestRootExtraction:
 
     @given(search_roots, search_roots, search_roots, st.sampled_from([None, 8, 10, 13]))
     @example(F(1, 3), F(0), F(-2, 7), 10)
+    @example(F(1, 4), F(0), F(-1), 10)
     @example(F(1), F(0), F(2), None)
     @example(F(0), F(0), F(5, 2), None)
     def test_polish_matches_fraction_reference(self, r, s, t, gap_digits):

@@ -285,7 +285,7 @@ def test_import_does_not_load_argparse():
 
 
 def test_report_bundle_names():
-    import symcert.cli
+    import symcert.report
 
-    assert symcert.report_bundle is symcert.cli.report_bundle
+    assert symcert.report_bundle is symcert.report.report_bundle
     assert not hasattr(symcert, "run")
