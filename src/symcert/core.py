@@ -239,5 +239,9 @@ def garding_membership(x: Iterable[RationalLike], k: int) -> bool:
     n = len(point)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    profile = sigma_all(point)
-    return all(profile.sigma[m] > 0 for m in range(1, k + 1))
+    return _in_cone(_sigma_numerators(over_common_denominator(point)[1]), k)
+
+
+def _in_cone(sig: list[int], k: int) -> bool:
+    """Whether sigma_1..sigma_k are all positive, read off S_m = sigma_m * D^m."""
+    return all(s > 0 for s in sig[1 : k + 1])

@@ -2,7 +2,8 @@
 their two-term generalization, the quantitative form, and the general
 linear-combination conjecture.
 
-Every gap is an exact rational lhs - rhs.  A negative gap under satisfied
+Every gap is an exact rational lhs - rhs; the two-term gaps evaluate it on
+integer sigmas over one denominator.  A negative gap under satisfied
 preconditions is a *finding* (a witness the search layer can consume);
 violated preconditions raise :class:`PreconditionError` instead.
 """
@@ -13,8 +14,10 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb, lcm
 
-from .core import JsonResult, RationalLike, as_point, as_rational, garding_membership, sigma_all
+from .core import JsonResult, RationalLike, _in_cone, _sigma_numerators, as_point, as_rational
+from .core import over_common_denominator, sigma_all
 
 
 class Relation(Enum):
@@ -54,22 +57,57 @@ class GapReport(JsonResult):
         equality_case: EqualityCase = EqualityCase.NOT_APPLICABLE,
     ) -> "GapReport":
         gap = lhs - rhs
-        if gap > 0:
-            relation = Relation.STRICTLY_POSITIVE
-        elif gap == 0:
-            relation = Relation.ZERO
-        else:
-            relation = Relation.NEGATIVE
-        return cls(lhs, rhs, gap, relation, equality_case)
+        return cls(lhs, rhs, gap, _relation(gap), equality_case)
+
+    @classmethod
+    def over(
+        cls, lhs: int, rhs: int, den: int, equality_case: EqualityCase = EqualityCase.NOT_APPLICABLE
+    ) -> "GapReport":
+        """The report of lhs/den - rhs/den, for integers over a positive den."""
+        gap = lhs - rhs
+        fractions = (Fraction(lhs, den), Fraction(rhs, den), Fraction(gap, den))
+        return cls(*fractions, _relation(gap), equality_case)
 
 
-def _window(
-    u: Callable[[int], Fraction], alpha: Fraction, j: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """The window (p, s, q) of two-term terms alpha*u(i) + u(i+1) at
-    i = j-1, j, j+1, where u gives the means, the sigmas or the moments
-    by index.  Every two-term gap is s^2 - p*q, up to a factor on s^2."""
-    return alpha * u(j - 1) + u(j), alpha * u(j) + u(j + 1), alpha * u(j + 1) + u(j + 2)
+def _relation(gap: Fraction | int) -> Relation:
+    if gap > 0:
+        return Relation.STRICTLY_POSITIVE
+    if gap == 0:
+        return Relation.ZERO
+    return Relation.NEGATIVE
+
+
+def _window(u: Callable[[int], RationalLike], alpha: RationalLike, lo: int, hi: int) -> list:
+    """The two-term terms alpha*u(i) + u(i+1) for i = lo..hi-1, where u
+    gives the means, the sigmas or the moments by index.  Every two-term
+    gap is s^2 - p*q over the window (p, s, q) of the terms at j-1, j,
+    j+1, up to a factor on s^2."""
+    return [alpha * u(i) + u(i + 1) for i in range(lo, hi)]
+
+
+def _integer_window(
+    point: tuple[Fraction, ...], alpha: Fraction, lo: int, hi: int, means: bool
+) -> tuple[list[int], int, int, int, list[int]]:
+    """The terms of _window for i = lo..hi-1 of the sigmas, or with means
+    of the means, on integers: returns (T, A, D, L, S).
+
+    The point and alpha go over one denominator D, with A = alpha*D and
+    S_m = sigma_m*D^m.  The sigmas feed S_m with L = 1; the means feed
+    S_m*(L // C(n, m)), with L the lcm of C(n, lo..hi).  The term at i
+    is T[i - lo] / (L*D^(i+1)), so the window at j has s^2 and p*q both
+    over (L*D^(j+1))^2, and s = -alpha*p, q = -alpha*s read S == -A*P,
+    Q == -A*S.
+    """
+    n = len(point)
+    scale, ints = over_common_denominator((alpha, *point))
+    sig = _sigma_numerators(ints[1:])
+    common, u = 1, sig
+    if means:
+        picks = range(max(lo, 0), min(hi, n) + 1)
+        common = lcm(*(comb(n, m) for m in picks))
+        u = [s * (common // comb(n, m)) if m in picks else 0 for m, s in enumerate(sig)]
+    terms = _window(lambda m: u[m] if 0 <= m <= n else 0, ints[0], lo, hi)
+    return terms, ints[0], scale, common, sig
 
 
 def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapReport:
@@ -79,17 +117,17 @@ def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapRe
     The ratio condition is checked in cross-multiplied form so zero
     denominators never need dividing: s = -alpha*p and q = -alpha*s.
     """
-    p, s, q = _window(sigma_all(point).e_at, alpha, j)
-    lhs, rhs = s**2, p * q
+    (p, s, q), big_a, scale, common, _ = _integer_window(point, alpha, j - 1, j + 2, True)
+    lhs, rhs = s * s, p * q
     if lhs != rhs:
         case = EqualityCase.STRICT
     elif all(v == point[0] for v in point):
         case = EqualityCase.ALL_EQUAL
-    elif s == -alpha * p and q == -alpha * s:
+    elif s == -big_a * p and q == -big_a * s:
         case = EqualityCase.RATIO_MINUS_ALPHA
     else:
         case = EqualityCase.NOT_APPLICABLE
-    return GapReport.from_sides(lhs, rhs, case)
+    return GapReport.over(lhs, rhs, (common * scale ** (j + 1)) ** 2, case)
 
 
 def newton_gap(x: Iterable[RationalLike], k: int) -> GapReport:
@@ -122,7 +160,9 @@ def gen_nm_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRep
     """Two-term gap [a E_k + E_{k+1}]^2 - [a E_{k-1} + E_k][a E_{k+1} + E_{k+2}].
 
     Nonnegative for every real point and every real alpha when
-    1 <= k <= n-2; zero only in the all-equal and ratio -alpha cases.
+    1 <= k <= n-2.  The gap is zero at all-equal points and in the ratio
+    -alpha case, which are labelled, but not only there: at (1, 0, 0, 0)
+    with alpha = 1 and k = 2 it is zero and labelled NotApplicable.
     """
     point = as_point(x)
     n = len(point)
@@ -161,9 +201,9 @@ def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> Chain
     a = as_rational(alpha)
     if a < 0:
         raise PreconditionError("the generalized chain requires alpha >= 0")
-    n = len(point)
-    e = sigma_all(point).e_at
-    terms = [a * e(m) + e(m + 1) for m in range(n)]
+    # the term at m is T_m / (L D^(m+1)), so the powers of D cancel in
+    # term_{m-1}^(m+1) >= term_m^m, which reads T_{m-1}^(m+1) >= L T_m^m
+    terms, _, _, common, _ = _integer_window(point, a, 0, len(point), True)
     chain_top = -1
     failed_at: int | None = None
     for m, value in enumerate(terms):
@@ -173,7 +213,7 @@ def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> Chain
         chain_top = m
     first_failure: int | None = None
     for m in range(1, chain_top + 1):
-        if terms[m - 1] ** (m + 1) < terms[m] ** m:
+        if terms[m - 1] ** (m + 1) < common * terms[m] ** m:
             first_failure = m
             break
     return ChainResult(first_failure is None, chain_top, failed_at, first_failure)
@@ -234,8 +274,10 @@ def quantitative_gap(
         raise PreconditionError(f"quantitative_gap needs 0 <= k <= n-1, got k={k}, n={n}")
     if not 0 < th < 1:
         raise PreconditionError(f"theta must lie in (0, 1), got {th}")
-    p, s, q = _window(sigma_all(point).sigma_at, a, k)
-    return GapReport.from_sides((1 - th) * s**2, p * q)
+    (p, s, q), _, scale, _, _ = _integer_window(point, a, k - 1, k + 2, False)
+    # (1 - theta) s^2 - p q over t_den (D^(k+1))^2, with theta = t_num / t_den
+    t_num, t_den = th.as_integer_ratio()
+    return GapReport.over((t_den - t_num) * s * s, t_den * p * q, t_den * scale ** (2 * k + 2))
 
 
 def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapReport:
@@ -251,10 +293,10 @@ def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRe
         raise PreconditionError(f"liu_ren_gap needs 2 <= k <= n-1, got k={k}, n={n}")
     if a <= 0:
         raise PreconditionError(f"liu_ren_gap requires alpha > 0, got {a}")
-    if not garding_membership(point, k):
+    (p, s, q), _, scale, _, sig = _integer_window(point, a, k - 2, k + 1, False)
+    if not _in_cone(sig, k):
         raise PreconditionError("point lies outside the level-k positivity cone")
-    p, s, q = _window(sigma_all(point).sigma_at, a, k - 1)
-    return GapReport.from_sides(s**2, p * q)
+    return GapReport.over(s * s, p * q, scale ** (2 * k))
 
 
 @dataclass(frozen=True)
@@ -284,5 +326,5 @@ def remark_violation(n: int, k: int) -> EndpointWitness:
     else:
         raise PreconditionError(f"remark applies only to k = 0 or k = n-1, got k={k}")
     point = (c,) * n
-    p, s, q = _window(sigma_all(point).e_at, a, k)
-    return EndpointWitness(point, a, k, GapReport.from_sides(s**2, p * q))
+    (p, s, q), _, scale, common, _ = _integer_window(point, a, k - 1, k + 2, True)
+    return EndpointWitness(point, a, k, GapReport.over(s * s, p * q, (common * scale ** (k + 1)) ** 2))

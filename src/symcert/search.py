@@ -6,12 +6,13 @@ continued fractions and re-verified in exact arithmetic first.  Sampling
 is keyed per iteration, so identical (seed, budget, parameters) produce
 identical reports.
 
-Sampling, the float prefilter and the theta ratio run on Python
-integers: a sampled point (with alpha) goes over one common denominator
-D and its sigmas are the integer numerators S_j = sigma_j * D^j, so no
-Fraction is built for a sigma, a mean or a window term.  The prefilter
-reads each mean as S_j / (D^j C(n, j)), the same correctly rounded float
-as float(E_j), and every ratio, gap and witness is an exact Fraction.
+Sampling, the float prefilter and the theta ratio (through the gaps
+window kernel) run on Python integers: a sampled point (with alpha) goes
+over one common denominator D and its sigmas are the integer numerators
+S_j = sigma_j * D^j, so no Fraction is built for a sigma, a mean or a
+window term.  The prefilter reads each mean as S_j / (D^j C(n, j)), the
+same correctly rounded float as float(E_j), and every ratio, gap and
+witness is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     over_common_denominator,
     sigma_all,
 )
-from .gaps import _combo_sides, _window, linear_combo_gap
+from .gaps import _combo_sides, _integer_window, linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
@@ -249,10 +250,8 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
             point = (-alpha + jitter,) + (-alpha,) * (n - 2) + (tail,)
         else:
             point = tuple(_sample_entry(rng, negative_rate=0.5) for _ in range(n))
-        # over D the window is (D^k p, D^(k+1) s, D^(k+2) q): the powers cancel
-        scale, ints = over_common_denominator((alpha, *point))
-        sig = _sigma_numerators(ints[1:])
-        p, s, q = _window(lambda j: sig[j] if 0 <= j <= n else 0, ints[0], k)
+        # the window's integer scale cancels in the ratio
+        (p, s, q), *_ = _integer_window(point, alpha, k - 1, k + 2, False)
         if s == 0:
             skipped += 1
             continue

@@ -16,6 +16,7 @@ from symcert.certificate import window_check
 from symcert.cli import run
 
 F = Fraction
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 
 
 def invoke(capsys, *argv):
@@ -62,6 +63,19 @@ class TestVerify:
         )
         assert code == 0
         assert data["report"]["relation"] == "StrictlyPositive"
+
+    def test_gen_nm_zero_gap_outside_the_labelled_cases(self, capsys):
+        # a zero gap that is neither all-equal nor ratio -alpha keeps the
+        # NotApplicable label: the exact equality set is not classified yet
+        code, data, _ = invoke_json(
+            capsys,
+            "verify", "--ineq", "gen-nm",
+            "--x", '["1","0","0","0"]', "--alpha", "1", "--k", "2",
+        )
+        assert code == 0
+        assert data["report"]["gap"] == "0"
+        assert data["report"]["relation"] == "Zero"
+        assert data["report"]["equality_case"] == "NotApplicable"
 
     def test_newton(self, capsys):
         code, data, _ = invoke_json(
@@ -357,6 +371,15 @@ class TestReport:
         document = json.loads(target.read_text())
         assert document["config"]["n_max"] == 4
 
+    def test_out_file_matches_the_benchmark_golden(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, _, _ = invoke(
+            capsys,
+            "report", "--n-max", "8", "--seed", "0", "--samples", "200", "--out", str(target),
+        )
+        assert code == 0
+        assert target.read_bytes() == (GOLDENS / "cli-readme" / "report.json").read_bytes()
+
     def test_bundle_function_deterministic(self):
         assert report_bundle(5, 2, 30) == report_bundle(5, 2, 30)
 
@@ -471,7 +494,7 @@ class TestErrorPaths:
         import symcert.search as search_module
 
         # every window has a vanishing middle term, so no ratio is defined
-        monkeypatch.setattr(search_module, "_window", lambda sigma, alpha, k: (0, 0, 0))
+        monkeypatch.setattr(search_module, "_integer_window", lambda *args: ([0, 0, 0], 0, 1, 1, []))
         code, out, err = invoke(capsys, "search", "theta", "--n", "4", "--k", "1", "--samples", "5")
         assert (code, out) == (2, "")
         assert err.startswith("error: all 5 samples had a vanishing denominator")

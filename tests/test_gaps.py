@@ -10,7 +10,10 @@ from hypothesis import given
 from conftest import nonneg_points, nonneg_rationals, nonzero_rationals, points, rationals
 from symcert.certificate import theta_for
 from symcert.core import sigma_all
+from symcert.search import ThetaSummary, Witness, _rng_for, _sample_entry, empirical_theta
 from symcert.gaps import (
+    ChainResult,
+    EndpointWitness,
     EqualityCase,
     GapReport,
     PreconditionError,
@@ -321,3 +324,213 @@ class TestGapReport:
             "relation": "Negative",
             "equality_case": "NotApplicable",
         }
+
+
+# -- the Fraction evaluators that the integer window replaced -----------------
+#
+# Each reference builds every sigma, mean and window term as a Fraction, the
+# way the gap layer did before it read gaps._integer_window; the kernel
+# versions must give equal reports and byte-identical JSON.
+
+
+def _ref_report(lhs, rhs, case=EqualityCase.NOT_APPLICABLE):
+    gap = lhs - rhs
+    if gap > 0:
+        relation = Relation.STRICTLY_POSITIVE
+    elif gap == 0:
+        relation = Relation.ZERO
+    else:
+        relation = Relation.NEGATIVE
+    return GapReport(lhs, rhs, gap, relation, case)
+
+
+def _ref_window(u, alpha, j):
+    return alpha * u(j - 1) + u(j), alpha * u(j) + u(j + 1), alpha * u(j + 1) + u(j + 2)
+
+
+def ref_gen_nm_gap(point, alpha, k):
+    p, s, q = _ref_window(sigma_all(point).e_at, alpha, k)
+    lhs, rhs = s**2, p * q
+    if lhs != rhs:
+        case = EqualityCase.STRICT
+    elif all(v == point[0] for v in point):
+        case = EqualityCase.ALL_EQUAL
+    elif s == -alpha * p and q == -alpha * s:
+        case = EqualityCase.RATIO_MINUS_ALPHA
+    else:
+        case = EqualityCase.NOT_APPLICABLE
+    return _ref_report(lhs, rhs, case)
+
+
+def ref_quantitative_gap(point, alpha, k, theta):
+    p, s, q = _ref_window(sigma_all(point).sigma_at, alpha, k)
+    return _ref_report((1 - theta) * s**2, p * q)
+
+
+def ref_liu_ren_gap(point, alpha, k):
+    """None outside the level-k positivity cone."""
+    profile = sigma_all(point)
+    if not all(profile.sigma[m] > 0 for m in range(1, k + 1)):
+        return None
+    p, s, q = _ref_window(profile.sigma_at, alpha, k - 1)
+    return _ref_report(s**2, p * q)
+
+
+def ref_gen_maclaurin_chain(point, alpha):
+    e = sigma_all(point).e_at
+    terms = [alpha * e(m) + e(m + 1) for m in range(len(point))]
+    chain_top = -1
+    failed_at = None
+    for m, value in enumerate(terms):
+        if value < 0:
+            failed_at = m
+            break
+        chain_top = m
+    first_failure = None
+    for m in range(1, chain_top + 1):
+        if terms[m - 1] ** (m + 1) < terms[m] ** m:
+            first_failure = m
+            break
+    return ChainResult(first_failure is None, chain_top, failed_at, first_failure)
+
+
+def ref_remark_violation(n, k):
+    c = F(2) if k == 0 else F(1, 2)
+    point, alpha = (c,) * n, F(-1)
+    p, s, q = _ref_window(sigma_all(point).e_at, alpha, k)
+    return EndpointWitness(point, alpha, k, _ref_report(s**2, p * q))
+
+
+def ref_empirical_theta(n, k, samples, seed):
+    certified = theta_for(n, k)
+    skipped = 0
+    min_ratio = argmin = None
+    for i in range(samples):
+        rng = _rng_for(seed, i)
+        alpha = _sample_entry(rng, negative_rate=0.5)
+        if i % 8 == 7:
+            tail = _sample_entry(rng)
+            jitter = F(rng.randint(-1, 1), 10**4)
+            point = (-alpha + jitter,) + (-alpha,) * (n - 2) + (tail,)
+        else:
+            point = tuple(_sample_entry(rng, negative_rate=0.5) for _ in range(n))
+        p, s, q = _ref_window(sigma_all(point).sigma_at, alpha, k)
+        if s == 0:
+            skipped += 1
+            continue
+        ratio = 1 - p * q / s**2
+        assert ratio >= certified
+        if min_ratio is None or ratio < min_ratio:
+            min_ratio = ratio
+            argmin = Witness(point, None, alpha, k, ratio, "ThetaRatio", seed, i)
+    return ThetaSummary(n, k, samples, skipped, certified, min_ratio, argmin)
+
+
+# denominators up to 10^6, so a point's entries rarely share one
+wide_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+zero_heavy = st.sampled_from((F(0), F(0), F(0), F(1), F(-1), F(1, 2)))
+mixed_entries = st.one_of(wide_rationals, rationals, zero_heavy)
+mixed_points = st.lists(mixed_entries, min_size=3, max_size=8).map(tuple)
+alphas = st.one_of(st.just(F(0)), wide_rationals, rationals)
+constant_points = st.builds(lambda c, n: (c,) * n, mixed_entries, st.integers(3, 8))
+
+
+def _same(report, reference):
+    assert report == reference
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+class TestFractionReference:
+    @given(st.one_of(mixed_points, constant_points), alphas)
+    def test_gen_nm_gap(self, point, alpha):
+        for k in range(1, len(point) - 1):
+            _same(gen_nm_gap(point, alpha, k), ref_gen_nm_gap(point, alpha, k))
+
+    @given(st.one_of(mixed_points, constant_points))
+    def test_newton_gap(self, point):
+        for k in range(1, len(point)):
+            _same(newton_gap(point, k), ref_gen_nm_gap(point, F(0), k - 1))
+
+    @given(
+        st.one_of(mixed_points, constant_points),
+        alphas,
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda t: 0 < t < 1),
+    )
+    def test_quantitative_gap_every_k(self, point, alpha, theta):
+        n = len(point)
+        # k = 0 and k = n-1 read sigmas off both ends
+        for k in range(n):
+            for th in (theta, theta_for(n, k)):
+                _same(quantitative_gap(point, alpha, k, th), ref_quantitative_gap(point, alpha, k, th))
+
+    @given(
+        st.one_of(mixed_points, constant_points),
+        st.fractions(min_value=0, max_value=10, max_denominator=10**6).filter(lambda a: a > 0),
+    )
+    def test_liu_ren_gap(self, point, alpha):
+        for k in range(2, len(point)):
+            reference = ref_liu_ren_gap(point, alpha, k)
+            if reference is None:
+                with pytest.raises(PreconditionError):
+                    liu_ren_gap(point, alpha, k)
+            else:
+                _same(liu_ren_gap(point, alpha, k), reference)
+
+    @given(
+        st.lists(st.fractions(min_value="1/10", max_value=10, max_denominator=10**6), min_size=2, max_size=7),
+        st.fractions(min_value="1/10", max_value=5, max_denominator=1000),
+    )
+    def test_liu_ren_gap_on_the_cone_boundary(self, head, alpha):
+        # the last entry makes sigma_2 exactly zero: outside every cone from
+        # level 2 on, while a zero entry keeps sigma_n = 0 on the top boundary
+        s1, s2 = sum(head), sigma_all(head).sigma[2]
+        on_boundary = (*head, -s2 / s1)
+        assert sigma_all(on_boundary).sigma[2] == 0
+        with_zero = (*head, F(0))
+        for k in range(2, len(on_boundary)):
+            assert ref_liu_ren_gap(on_boundary, alpha, k) is None
+            with pytest.raises(PreconditionError):
+                liu_ren_gap(on_boundary, alpha, k)
+            _same(liu_ren_gap(with_zero, alpha, k), ref_liu_ren_gap(with_zero, alpha, k))
+
+    @given(
+        st.one_of(mixed_points, constant_points, nonneg_points),
+        st.one_of(st.just(F(0)), nonneg_rationals, wide_rationals.map(abs)),
+    )
+    def test_gen_maclaurin_chain(self, point, alpha):
+        assert gen_maclaurin_chain(point, alpha) == ref_gen_maclaurin_chain(point, alpha)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_remark_violation(self, n):
+        for k in (0, n - 1):
+            witness = remark_violation(n, k)
+            assert witness == ref_remark_violation(n, k)
+            assert witness.to_json_dict() == ref_remark_violation(n, k).to_json_dict()
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 2), (5, 4), (8, 3)])
+    def test_empirical_theta(self, n, k):
+        for seed in (0, 7):
+            summary = empirical_theta(n, k, 48, seed)
+            assert summary == ref_empirical_theta(n, k, 48, seed)
+            assert summary.to_json_dict() == ref_empirical_theta(n, k, 48, seed).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [F(-7, 3), F(-1), F(-1, 999_983), F(0), F(1, 999_983), F(2, 5), F(3)],
+    )
+    def test_ratio_minus_alpha_family(self, alpha):
+        # n-1 entries at -alpha and a tail over a different denominator:
+        # the gap is zero with the RatioMinusAlpha label for every k and
+        # every position of the tail, and the scale D must not leak into
+        # the ratio conditions
+        for n in range(3, 8):
+            for tail in (F(5, 7), F(-3, 1_000_000), F(11)):
+                for position in range(n):
+                    point = [-alpha] * (n - 1)
+                    point.insert(position, tail)
+                    point = tuple(point)
+                    for k in range(1, n - 1):
+                        report = gen_nm_gap(point, alpha, k)
+                        _same(report, ref_gen_nm_gap(point, alpha, k))
+                        assert report.gap == 0
+                        assert report.equality_case is EqualityCase.RATIO_MINUS_ALPHA
