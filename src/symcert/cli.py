@@ -261,14 +261,15 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 # -- handlers: each returns (payload, finding); run serializes the payload ----
 
-# the inputs each gap needs, in payload order (and argument order), and
-# the name of its evaluator in gaps
+# the inputs each gap reads, in payload order (and argument order), and
+# the name of its evaluator in gaps; verify refuses any other input flag
 _GAPS = {
     "newton": (("x", "k"), "newton_gap"),
     "gen-nm": (("x", "alpha", "k"), "gen_nm_gap"),
     "combo": (("x", "coeffs"), "linear_combo_gap"),
     "quantitative": (("x", "alpha", "k", "theta"), "quantitative_gap"),
     "liu-ren": (("x", "alpha", "k"), "liu_ren_gap"),
+    "remark": (("n", "k"), "remark_violation"),
 }
 
 
@@ -281,21 +282,21 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
     from . import gaps
 
     ineq = args.ineq
-    if args.theta is not None and ineq != "quantitative":
-        raise ValueError(f"--theta applies only to --ineq quantitative, not {ineq}")
-    if ineq == "remark":
-        _require(args, "n", "k")
-        witness = gaps.remark_violation(args.n, args.k)
-        return {"ineq": ineq, "witness": witness}, witness.report.relation is gaps.Relation.NEGATIVE
     names, evaluator = _GAPS[ineq]
+    for flag in dict.fromkeys(name for reads, _ in _GAPS.values() for name in reads):
+        if getattr(args, flag) is not None and flag not in names:
+            readers = " or ".join(other for other, (reads, _) in _GAPS.items() if flag in reads)
+            raise ValueError(f"--{flag} applies only to --ineq {readers}, not {ineq}")
     _require(args, *(name for name in names if name != "theta"))
     if ineq == "quantitative" and args.theta is None:
         from .certificate import theta_for
 
         args.theta = theta_for(len(args.x), args.k)
     inputs = {name: getattr(args, name) for name in names}
-    report = getattr(gaps, evaluator)(*inputs.values())
-    return {"ineq": ineq, **inputs, "report": report}, report.relation is gaps.Relation.NEGATIVE
+    result = getattr(gaps, evaluator)(*inputs.values())
+    if ineq == "remark":
+        return {"ineq": ineq, "witness": result}, result.report.relation is gaps.Relation.NEGATIVE
+    return {"ineq": ineq, **inputs, "report": result}, result.relation is gaps.Relation.NEGATIVE
 
 
 def _cmd_chain(args: argparse.Namespace) -> tuple[object, bool]:

@@ -2,8 +2,9 @@
 their two-term generalization, the quantitative form, and the general
 linear-combination conjecture.
 
-Every gap is an exact rational lhs - rhs; the two-term gaps evaluate it on
-integer sigmas over one denominator.  A negative gap under satisfied
+Every gap is an exact rational lhs - rhs over one window of weights, on
+integer sigmas over one denominator: the two-term gaps are the general
+combination with weights (alpha, 1).  A negative gap under satisfied
 preconditions is a *finding* (a witness the search layer can consume);
 violated preconditions raise :class:`PreconditionError` instead.
 """
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from .core import JsonResult, RationalLike, _in_cone, _sigma_numerators, as_point, as_rational
-from .core import over_common_denominator, sigma_all
+from .core import over_common_denominator
 
 
 class Relation(Enum):
@@ -50,16 +52,6 @@ class GapReport(JsonResult):
     equality_case: EqualityCase
 
     @classmethod
-    def from_sides(
-        cls,
-        lhs: Fraction,
-        rhs: Fraction,
-        equality_case: EqualityCase = EqualityCase.NOT_APPLICABLE,
-    ) -> "GapReport":
-        gap = lhs - rhs
-        return cls(lhs, rhs, gap, _relation(gap), equality_case)
-
-    @classmethod
     def over(
         cls, lhs: int, rhs: int, den: int, equality_case: EqualityCase = EqualityCase.NOT_APPLICABLE
     ) -> "GapReport":
@@ -77,37 +69,43 @@ def _relation(gap: Fraction | int) -> Relation:
     return Relation.NEGATIVE
 
 
-def _window(u: Callable[[int], RationalLike], alpha: RationalLike, lo: int, hi: int) -> list:
-    """The two-term terms alpha*u(i) + u(i+1) for i = lo..hi-1, where u
-    gives the means, the sigmas or the moments by index.  Every two-term
-    gap is s^2 - p*q over the window (p, s, q) of the terms at j-1, j,
-    j+1, up to a factor on s^2."""
-    return [alpha * u(i) + u(i + 1) for i in range(lo, hi)]
+def _window(u: Callable[[int], RationalLike], weights: Sequence, lo: int, hi: int) -> list:
+    """The terms sum_r w_r*u(i+r) for i = lo..hi-1, where u gives the
+    means, the sigmas or the moments by index; every gap is s^2 - p*q over
+    three neighbouring terms (p, s, q), up to a factor on s^2.  sum() adds
+    the products in slot order, so floats round the same for every caller."""
+    vals = [u(i) for i in range(lo, hi + len(weights) - 1)]
+    return [sum(map(mul, weights, vals[i:])) for i in range(hi - lo)]
 
 
 def _integer_window(
-    point: tuple[Fraction, ...], alpha: Fraction, lo: int, hi: int, means: bool
-) -> tuple[list[int], int, int, int, list[int]]:
+    point: tuple[Fraction, ...], weights: Sequence[Fraction | int], lo: int, hi: int, means: bool
+) -> tuple[list[int], list[int], int, int, list[int]]:
     """The terms of _window for i = lo..hi-1 of the sigmas, or with means
-    of the means, on integers: returns (T, A, D, L, S).
+    of the means, on integers: returns (T, w, D, C, S).
 
-    The point and alpha go over one denominator D, with A = alpha*D and
-    S_m = sigma_m*D^m.  The sigmas feed S_m with L = 1; the means feed
-    S_m*(L // C(n, m)), with L the lcm of C(n, lo..hi).  The term at i
-    is T[i - lo] / (L*D^(i+1)), so the window at j has s^2 and p*q both
-    over (L*D^(j+1))^2, and s = -alpha*p, q = -alpha*s read S == -A*P,
-    Q == -A*S.
+    The point and every weight but the last go over one denominator D,
+    and W is the last weight's denominator; of m weights, weight r
+    becomes w_r = W*a_r*D^(m-1-r), and S_j = sigma_j*D^j.  The sigmas
+    feed S_j with L = 1; the means feed S_j*(L // C(n, j)), with L the
+    lcm of the C(n, j) the window reads.  The term at i is
+    T[i - lo] / (C*D^(i+m-1)) with C = W*L, so the window at j has s^2
+    and p*q both over (C*D^(j+m-1))^2.  For (alpha, 1), W = 1 and the
+    weights are (alpha*D, 1).
     """
-    n = len(point)
-    scale, ints = over_common_denominator((alpha, *point))
-    sig = _sigma_numerators(ints[1:])
+    n, m = len(point), len(weights)
+    *head, last = weights
+    scale, ints = over_common_denominator((*head, *point))
+    sig = _sigma_numerators(ints[m - 1 :])
+    top = last.denominator
+    w = [top * a * scale ** (m - 2 - r) for r, a in enumerate(ints[: m - 1])] + [last.numerator]
     common, u = 1, sig
     if means:
-        picks = range(max(lo, 0), min(hi, n) + 1)
-        common = lcm(*(comb(n, m) for m in picks))
-        u = [s * (common // comb(n, m)) if m in picks else 0 for m, s in enumerate(sig)]
-    terms = _window(lambda m: u[m] if 0 <= m <= n else 0, ints[0], lo, hi)
-    return terms, ints[0], scale, common, sig
+        picks = range(max(lo, 0), min(hi + m - 2, n) + 1)
+        common = lcm(*(comb(n, j) for j in picks))
+        u = [s * (common // comb(n, j)) if j in picks else 0 for j, s in enumerate(sig)]
+    terms = _window(lambda j: u[j] if 0 <= j <= n else 0, w, lo, hi)
+    return terms, w, scale, top * common, sig
 
 
 def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapReport:
@@ -117,13 +115,13 @@ def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapRe
     The ratio condition is checked in cross-multiplied form so zero
     denominators never need dividing: s = -alpha*p and q = -alpha*s.
     """
-    (p, s, q), big_a, scale, common, _ = _integer_window(point, alpha, j - 1, j + 2, True)
+    (p, s, q), (w0, w1), scale, common, _ = _integer_window(point, (alpha, 1), j - 1, j + 2, True)
     lhs, rhs = s * s, p * q
     if lhs != rhs:
         case = EqualityCase.STRICT
     elif all(v == point[0] for v in point):
         case = EqualityCase.ALL_EQUAL
-    elif s == -big_a * p and q == -big_a * s:
+    elif w1 * s == -w0 * p and w1 * q == -w0 * s:
         case = EqualityCase.RATIO_MINUS_ALPHA
     else:
         case = EqualityCase.NOT_APPLICABLE
@@ -201,9 +199,9 @@ def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> Chain
     a = as_rational(alpha)
     if a < 0:
         raise PreconditionError("the generalized chain requires alpha >= 0")
-    # the term at m is T_m / (L D^(m+1)), so the powers of D cancel in
-    # term_{m-1}^(m+1) >= term_m^m, which reads T_{m-1}^(m+1) >= L T_m^m
-    terms, _, _, common, _ = _integer_window(point, a, 0, len(point), True)
+    # the term at m is T_m / (C D^(m+1)), so the powers of D cancel in
+    # term_{m-1}^(m+1) >= term_m^m, which reads T_{m-1}^(m+1) >= C T_m^m
+    terms, _, _, common, _ = _integer_window(point, (a, 1), 0, len(point), True)
     chain_top = -1
     failed_at: int | None = None
     for m, value in enumerate(terms):
@@ -232,26 +230,10 @@ def linear_combo_gap(
     weights = [as_rational(c) for c in coeffs]
     if not weights:
         raise PreconditionError("need at least one coefficient")
-    return GapReport.from_sides(*_combo_sides(sigma_all(point).e_list(), weights))
-
-
-def _combo_sides(
-    means: Sequence[Fraction], weights: Sequence[Fraction]
-) -> tuple[Fraction, Fraction]:
-    """(mid^2, low*high) for the combination sum_k a_k E_k (k = 1..m) over
-    the means E_0..E_n, zero past the ends.  Zero weights add nothing, so
-    they are skipped."""
-    top = len(means) - 1
-    mid = low = high = Fraction(0)
-    for k, c in enumerate(weights, start=1):
-        if c:
-            if k <= top:
-                mid += c * means[k]
-            if k - 1 <= top:
-                low += c * means[k - 1]
-            if k + 1 <= top:
-                high += c * means[k + 1]
-    return mid * mid, low * high
+    # a weight past slot n+1 reads only means past n, which are zero
+    weights = weights[: len(point) + 1]
+    (p, s, q), _, scale, common, _ = _integer_window(point, weights, 0, 3, True)
+    return GapReport.over(s * s, p * q, (common * scale ** len(weights)) ** 2)
 
 
 def quantitative_gap(
@@ -274,7 +256,7 @@ def quantitative_gap(
         raise PreconditionError(f"quantitative_gap needs 0 <= k <= n-1, got k={k}, n={n}")
     if not 0 < th < 1:
         raise PreconditionError(f"theta must lie in (0, 1), got {th}")
-    (p, s, q), _, scale, _, _ = _integer_window(point, a, k - 1, k + 2, False)
+    (p, s, q), _, scale, _, _ = _integer_window(point, (a, 1), k - 1, k + 2, False)
     # (1 - theta) s^2 - p q over t_den (D^(k+1))^2, with theta = t_num / t_den
     t_num, t_den = th.as_integer_ratio()
     return GapReport.over((t_den - t_num) * s * s, t_den * p * q, t_den * scale ** (2 * k + 2))
@@ -293,7 +275,7 @@ def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRe
         raise PreconditionError(f"liu_ren_gap needs 2 <= k <= n-1, got k={k}, n={n}")
     if a <= 0:
         raise PreconditionError(f"liu_ren_gap requires alpha > 0, got {a}")
-    (p, s, q), _, scale, _, sig = _integer_window(point, a, k - 2, k + 1, False)
+    (p, s, q), _, scale, _, sig = _integer_window(point, (a, 1), k - 2, k + 1, False)
     if not _in_cone(sig, k):
         raise PreconditionError("point lies outside the level-k positivity cone")
     return GapReport.over(s * s, p * q, scale ** (2 * k))
@@ -326,5 +308,5 @@ def remark_violation(n: int, k: int) -> EndpointWitness:
     else:
         raise PreconditionError(f"remark applies only to k = 0 or k = n-1, got k={k}")
     point = (c,) * n
-    (p, s, q), _, scale, common, _ = _integer_window(point, a, k - 1, k + 2, True)
+    (p, s, q), _, scale, common, _ = _integer_window(point, (a, 1), k - 1, k + 2, True)
     return EndpointWitness(point, a, k, GapReport.over(s * s, p * q, (common * scale ** (k + 1)) ** 2))

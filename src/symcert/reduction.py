@@ -214,7 +214,8 @@ def degenerate_direct_gap(
     ek = as_rational(e_k)
     ek1 = as_rational(e_k1)
     a = as_rational(alpha)
-    return (a * ek + ek1) ** 2 / 2 + a**2 * ek**2 / 2 + ek1**2 / 2
+    (s,) = _window((ek, ek1).__getitem__, (a, 1), 0, 1)
+    return s**2 / 2 + a**2 * ek**2 / 2 + ek1**2 / 2
 
 
 def gap_from_moments(
@@ -227,7 +228,7 @@ def gap_from_moments(
     two-term gap exactly.
     """
     moments = (1, as_rational(m1), as_rational(m2), as_rational(m3))
-    p, s, q = _window(moments.__getitem__, as_rational(alpha), 0, 3)
+    p, s, q = _window(moments.__getitem__, (as_rational(alpha), 1), 0, 3)
     return s**2 - p * q
 
 
@@ -242,7 +243,7 @@ def lemma21_identity_residual(
     """
     z1, z2, z3 = as_triple(z)
     a = as_rational(alpha)
-    p, s, q = _window(e_all((z1, z2, z3)).__getitem__, a, 0, 3)
+    p, s, q = _window(e_all((z1, z2, z3)).__getitem__, (a, 1), 0, 3)
     gap = 18 * (s**2 - p * q)
     u = (z1 + a) * (z2 + a)
     v = (z1 + a) * (z3 + a)

@@ -52,16 +52,27 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
             certificate_rows.append({**cert_constants(n, k).to_json_dict(), "pass": ok})
 
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+
+    def randint(a: int, b: int) -> int:
+        """rng.randint(a, b): a plus the rejection loop that randrange runs
+        on getrandbits, without its argument checks."""
+        width = b - a + 1
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return a + r
 
     def rand_fraction() -> Fraction:
-        return Fraction(rng.randint(-4000, 4000), rng.randint(1, 400))
+        return Fraction(randint(-4000, 4000), randint(1, 400))
 
     gen_nm_nonneg = 0
     gen_nm_zero = 0
     for _ in range(samples):
-        n = rng.randint(3, max(3, min(n_max, 8)))
+        n = randint(3, max(3, min(n_max, 8)))
         point = tuple(rand_fraction() for _ in range(n))
-        k = rng.randint(1, n - 2)
+        k = randint(1, n - 2)
         gap = gen_nm_gap(point, rand_fraction(), k).gap
         if gap >= 0:
             gen_nm_nonneg += 1
@@ -70,9 +81,9 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
 
     quantitative_nonneg = 0
     for _ in range(samples):
-        n = rng.randint(3, max(3, min(n_max, 8)))
+        n = randint(3, max(3, min(n_max, 8)))
         point = tuple(rand_fraction() for _ in range(n))
-        k = rng.randint(0, n - 1)
+        k = randint(0, n - 1)
         report = quantitative_gap(point, rand_fraction(), k, theta_for(n, k))
         if report.gap >= 0:
             quantitative_nonneg += 1
@@ -80,8 +91,8 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     residual_zero = 0
     if n_max >= 4:
         for _ in range(samples):
-            n = rng.randint(4, n_max)
-            k = rng.randint(1, n - 2)
+            n = randint(4, n_max)
+            k = randint(1, n - 2)
             z = tuple(rand_fraction() for _ in range(3))
             if decomposition_residual(z, rand_fraction(), n, k) == 0:
                 residual_zero += 1

@@ -6,13 +6,14 @@ continued fractions and re-verified in exact arithmetic first.  Sampling
 is keyed per iteration, so identical (seed, budget, parameters) produce
 identical reports.
 
-Sampling, the float prefilter and the theta ratio (through the gaps
-window kernel) run on Python integers: a sampled point (with alpha) goes
-over one common denominator D and its sigmas are the integer numerators
-S_j = sigma_j * D^j, so no Fraction is built for a sigma, a mean or a
-window term.  The prefilter reads each mean as S_j / (D^j C(n, j)), the
-same correctly rounded float as float(E_j), and every ratio, gap and
-witness is an exact Fraction.
+Sampling, the float prefilter, the theta ratio and the family scans run
+on Python integers.  Each gap is one window of weights (gaps._window):
+the theta ratio reads (alpha, 1) and the combination its coefficients,
+on the sigmas S_j = sigma_j * D^j of the point and weights over one
+denominator D, so no Fraction is built for a sigma, a mean or a window
+term.  The prefilter feeds the same window the floats S_j / (D^j C(n, j)),
+each the correctly rounded float(E_j), and every ratio, gap and witness
+is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .core import (
     _sigma_numerators,
     as_rational,
     over_common_denominator,
-    sigma_all,
 )
-from .gaps import _combo_sides, _integer_window, linear_combo_gap
+from .gaps import _integer_window, _window, linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
@@ -128,7 +128,7 @@ def _sample_coeffs(rng: random.Random, m: int) -> tuple[Fraction, ...]:
 
 def _float_combo_gap(point: Sequence[Fraction], coeffs: Sequence[Fraction]) -> float:
     """The combination gap in floats, each mean E_j correctly rounded from
-    the integer quotient S_j / (D^j C(n, j))."""
+    the integer quotient S_j / (D^j C(n, j)), and zero past n."""
     n = len(point)
     scale, ints = over_common_denominator(point)
     means = []
@@ -136,14 +136,8 @@ def _float_combo_gap(point: Sequence[Fraction], coeffs: Sequence[Fraction]) -> f
     for j, s in enumerate(_sigma_numerators(ints)):
         means.append(s / (power * math.comb(n, j)))
         power *= scale
-
-    def mean_at(j: int) -> float:
-        return means[j] if 0 <= j <= n else 0.0
-
-    cs = [float(c) for c in coeffs]
-    mid = sum(c * mean_at(j) for j, c in enumerate(cs, start=1))
-    low = sum(c * mean_at(j - 1) for j, c in enumerate(cs, start=1))
-    high = sum(c * mean_at(j + 1) for j, c in enumerate(cs, start=1))
+    means += [0.0] * (len(coeffs) + 1)
+    low, mid, high = _window(means.__getitem__, [float(c) for c in coeffs], 0, 3)
     return mid * mid - low * high
 
 
@@ -251,7 +245,7 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
         else:
             point = tuple(_sample_entry(rng, negative_rate=0.5) for _ in range(n))
         # the window's integer scale cancels in the ratio
-        (p, s, q), *_ = _integer_window(point, alpha, k - 1, k + 2, False)
+        (p, s, q), *_ = _integer_window(point, (alpha, 1), k - 1, k + 2, False)
         if s == 0:
             skipped += 1
             continue
@@ -354,10 +348,12 @@ def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanRe
     positive = zero = negative = 0
     witnesses: list[Witness] = []
     evaluated = 0
-    points = [(point, sigma_all(point).e_list()) for point in _grid_points(n + 1, grid)]
+    points = _grid_points(n + 1, grid)
     for coeffs in _family_vectors(family, n, grid):
-        for point, means in points:
-            lhs, rhs = _combo_sides(means, coeffs)
+        for point in points:
+            # linear_combo_gap's window: n weights on n + 1 entries need no trim
+            (low, mid, high), *_ = _integer_window(point, coeffs, 0, 3, True)
+            lhs, rhs = mid * mid, low * high
             if lhs > rhs:
                 positive += 1
             elif lhs == rhs:
@@ -365,8 +361,9 @@ def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanRe
             else:
                 negative += 1
                 if len(witnesses) < _WITNESS_CAP:
+                    gap = linear_combo_gap(point, coeffs).gap
                     witnesses.append(
-                        Witness(point, coeffs, None, None, lhs - rhs, "Conjecture15", 0, evaluated)
+                        Witness(point, coeffs, None, None, gap, "Conjecture15", 0, evaluated)
                     )
             evaluated += 1
     return ScanReport(family, n, evaluated, positive, zero, negative, tuple(witnesses))

@@ -135,6 +135,37 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --theta applies only to --ineq quantitative, not {argv[1]}\n"
 
+    @pytest.mark.parametrize(
+        "argv, stray, readers",
+        [
+            (
+                ["--ineq", "newton", "--x", '["1","2","3"]', "--k", "1"],
+                ["--alpha", "5"],
+                "gen-nm or quantitative or liu-ren",
+            ),
+            (
+                ["--ineq", "gen-nm", "--x", '["1","2","3","4"]', "--alpha", "1", "--k", "1"],
+                ["--coeffs", '["1"]'],
+                "combo",
+            ),
+            (
+                ["--ineq", "remark", "--n", "3", "--k", "0"],
+                ["--x", '["1","2","3"]'],
+                "newton or gen-nm or combo or quantitative or liu-ren",
+            ),
+            (
+                ["--ineq", "combo", "--x", '["1","2","3"]', "--coeffs", '["1"]'],
+                ["--n", "9"],
+                "remark",
+            ),
+        ],
+    )
+    def test_flag_the_inequality_does_not_read_is_rejected(self, capsys, argv, stray, readers):
+        assert invoke(capsys, "verify", *argv)[0] in (0, 1)
+        code, out, err = invoke(capsys, "verify", *argv, *stray)
+        assert (code, out) == (2, "")
+        assert err == f"error: {stray[0]} applies only to --ineq {readers}, not {argv[1]}\n"
+
     GEN_NM = ("verify", "--ineq", "gen-nm", "--x", '["1","2","3","4"]', "--k", "1")
 
     def test_negative_rational_as_separate_argument(self, capsys):
@@ -382,6 +413,25 @@ class TestReport:
 
     def test_bundle_function_deterministic(self):
         assert report_bundle(5, 2, 30) == report_bundle(5, 2, 30)
+
+README_GOLDENS = GOLDENS / "cli-readme"
+README_MANIFEST = json.loads((README_GOLDENS / "manifest.json").read_text())["commands"]
+
+
+@pytest.mark.parametrize(
+    "entry", README_MANIFEST, ids=[entry["name"] for entry in README_MANIFEST]
+)
+def test_readme_command_matches_its_golden(capsys, monkeypatch, tmp_path, entry):
+    """Every README command prints its golden stdout byte for byte and
+    exits with its golden code; `report --out` writes the golden file."""
+    monkeypatch.chdir(tmp_path)
+    code = run(entry["argv"])
+    out = capsys.readouterr().out
+    assert code == entry["exit"]
+    assert out.encode() == (README_GOLDENS / entry["stdout"]).read_bytes()
+    if "--out" in entry["argv"]:
+        written = entry["argv"][entry["argv"].index("--out") + 1]
+        assert (tmp_path / written).read_bytes() == (README_GOLDENS / written).read_bytes()
 
 
 class TestConfigPrecedence:

@@ -10,7 +10,18 @@ from hypothesis import given
 from conftest import nonneg_points, nonneg_rationals, nonzero_rationals, points, rationals
 from symcert.certificate import theta_for
 from symcert.core import sigma_all
-from symcert.search import ThetaSummary, Witness, _rng_for, _sample_entry, empirical_theta
+from symcert.search import (
+    FAMILIES,
+    ScanGrid,
+    ThetaSummary,
+    Witness,
+    _family_vectors,
+    _grid_points,
+    _rng_for,
+    _sample_entry,
+    empirical_theta,
+    structured_scan,
+)
 from symcert.gaps import (
     ChainResult,
     EndpointWitness,
@@ -305,7 +316,8 @@ class TestRemarkViolation:
 class TestGapReport:
     @given(rationals, rationals)
     def test_relation_consistent_with_sign(self, lhs, rhs):
-        report = GapReport.from_sides(lhs, rhs)
+        den = lhs.denominator * rhs.denominator
+        report = GapReport.over(int(lhs * den), int(rhs * den), den)
         assert report.gap == lhs - rhs
         if report.gap > 0:
             assert report.relation is Relation.STRICTLY_POSITIVE
@@ -426,6 +438,28 @@ def ref_empirical_theta(n, k, samples, seed):
     return ThetaSummary(n, k, samples, skipped, certified, min_ratio, argmin)
 
 
+def ref_combo_sides(means, weights):
+    """(mid^2, low*high) for the combination sum_k a_k E_k (k = 1..m) over
+    the means E_0..E_n, zero past the ends.  Zero weights add nothing, so
+    they are skipped."""
+    top = len(means) - 1
+    mid = low = high = F(0)
+    for k, c in enumerate(weights, start=1):
+        if c:
+            if k <= top:
+                mid += c * means[k]
+            if k - 1 <= top:
+                low += c * means[k - 1]
+            if k + 1 <= top:
+                high += c * means[k + 1]
+    return mid * mid, low * high
+
+
+def ref_linear_combo_gap(point, coeffs):
+    weights = [F(c) for c in coeffs]
+    return _ref_report(*ref_combo_sides(sigma_all(point).e_list(), weights))
+
+
 # denominators up to 10^6, so a point's entries rarely share one
 wide_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
 zero_heavy = st.sampled_from((F(0), F(0), F(0), F(1), F(-1), F(1, 2)))
@@ -433,6 +467,8 @@ mixed_entries = st.one_of(wide_rationals, rationals, zero_heavy)
 mixed_points = st.lists(mixed_entries, min_size=3, max_size=8).map(tuple)
 alphas = st.one_of(st.just(F(0)), wide_rationals, rationals)
 constant_points = st.builds(lambda c, n: (c,) * n, mixed_entries, st.integers(3, 8))
+# mostly shorter than n+1 = 4..9, sometimes longer
+combo_weights = st.lists(mixed_entries, min_size=1, max_size=12)
 
 
 def _same(report, reference):
@@ -534,3 +570,50 @@ class TestFractionReference:
                         _same(report, ref_gen_nm_gap(point, alpha, k))
                         assert report.gap == 0
                         assert report.equality_case is EqualityCase.RATIO_MINUS_ALPHA
+
+
+class TestComboFractionReference:
+    """linear_combo_gap and structured_scan on the integer window against
+    the combination on Fraction means from sigma_all."""
+
+    @given(st.one_of(mixed_points, constant_points), combo_weights)
+    def test_linear_combo_gap(self, point, weights):
+        _same(linear_combo_gap(point, weights), ref_linear_combo_gap(point, weights))
+
+    @given(st.one_of(mixed_points, constant_points), st.integers(1, 12))
+    def test_all_zero_weights(self, point, m):
+        report = linear_combo_gap(point, (F(0),) * m)
+        _same(report, ref_linear_combo_gap(point, (F(0),) * m))
+        assert report.gap == 0
+
+    @given(mixed_points, st.data())
+    def test_weights_past_slot_n_plus_one(self, point, data):
+        n = len(point)
+        weights = data.draw(st.lists(mixed_entries, min_size=n + 2, max_size=n + 6))
+        report = linear_combo_gap(point, weights)
+        _same(report, ref_linear_combo_gap(point, weights))
+        # those weights read only the zero means past n
+        assert report == linear_combo_gap(point, weights[: n + 1])
+
+    @pytest.mark.parametrize("last", [F(3, 7), F(-5, 999_983), F(-2), F(0)])
+    @given(st.one_of(mixed_points, constant_points), st.lists(mixed_entries, max_size=8))
+    def test_last_weight_fractional_negative_or_zero(self, last, point, head):
+        weights = (*head, last)
+        _same(linear_combo_gap(point, weights), ref_linear_combo_gap(point, weights))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "n, grid", [(1, None), (3, None), (4, ScanGrid.of(["3", "1", "0", "-1/2", "5/999983"]))]
+    )
+    def test_structured_scan(self, family, n, grid):
+        report = structured_scan(family, n, grid)
+        grid = grid or ScanGrid()
+        counts = {Relation.STRICTLY_POSITIVE: 0, Relation.ZERO: 0, Relation.NEGATIVE: 0}
+        for coeffs in _family_vectors(family, n, grid):
+            for point in _grid_points(n + 1, grid):
+                counts[ref_linear_combo_gap(point, coeffs).relation] += 1
+        assert (report.positive, report.zero, report.negative) == tuple(counts.values())
+        assert report.evaluated == sum(counts.values())
+        for witness in report.witnesses:
+            reference = ref_linear_combo_gap(witness.x, witness.coeffs)
+            assert witness.gap == linear_combo_gap(witness.x, witness.coeffs).gap == reference.gap

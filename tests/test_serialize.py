@@ -157,7 +157,7 @@ def test_to_json_value_forms():
     value = {"z": Fraction(-3, 4), "a": (Fraction(2), None, True, 7), "r": Relation.ZERO}
     assert to_json(value) == {"z": "-3/4", "a": ["2", None, True, 7], "r": "Zero"}
     assert list(to_json(value)) == ["z", "a", "r"]
-    assert to_json([GapReport.from_sides(Fraction(1), Fraction(1))]) == [
+    assert to_json([GapReport.over(1, 1, 1)]) == [
         {"lhs": "1", "rhs": "1", "gap": "0", "relation": "Zero", "equality_case": "NotApplicable"}
     ]
 
