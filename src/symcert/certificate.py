@@ -15,13 +15,15 @@ The residual of that decomposition is evaluated on integers: M times it,
 with M the lcm of the constants' denominators, is a polynomial with
 integer coefficients, homogeneous of degree 4 in (z1, z2, z3, alpha), so
 it runs on the point's integer numerators over one common denominator D
-and is divided by M*D^4 once.  theta1 is homogeneous of degree 0 in
-(a, b, c, d), so theta_for evaluates it at a scale-free quadruple of
-small polynomials in (n, k) and takes constant time in n.
+and is divided by M*D^4 once.  Every constant and lemma quantity is one
+homogeneous integer form of (a, b, c, d) (_forms), so window_check reads
+the signs and theta1 (of degree 0) at a scale-free quadruple of small
+polynomials in (n, k), and theta_for takes constant time in n.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,8 +83,8 @@ class CertConstants(JsonResult):
 
 
 # theta1 = 3*mixed/den, written once over plain scalars (a, b, c, d):
-# cert_constants and lemma31_check take these at the binomials,
-# theta_for at the scale-free quadruple.
+# _forms builds every constant on these, and theta_for takes theta1 at
+# the scale-free quadruple.
 
 
 def _mixed_term(a, b, c, d):
@@ -108,30 +110,48 @@ def _scale_free_quad(n: int, k: int) -> tuple[int, int, int, int]:
     )
 
 
+class _Forms(namedtuple("_Forms", "bd ac mixed den tn td theta2 A1 A2 A3 combo")):
+    """The integer forms of a quadruple: the Lemma 3.1 terms (bd, ac,
+    mixed), den, t = tn/td, theta2, A1, A2 and A3 as numerators over den,
+    and combo = 36 den^2 (A1 A2 - A3^2/36).  Each is homogeneous in
+    (a, b, c, d), of degree 2, 2, 4, 4, 3, 3, 6, 6, 6, 6 and 12, so at the
+    binomials it is a positive power of C(n, k-1)/(k(k+1)(k+2)) times its
+    value at the scale-free quadruple, and theta1 (degree 0) is equal."""
+
+    __slots__ = ()
+
+    @property
+    def theta1(self) -> Fraction:
+        return Fraction(3 * self.mixed, self.den)
+
+
+def _forms(a, b, c, d) -> _Forms:
+    """theta2 = c^2 (3ac - b^2)^2/den, t = b (3bd - c^2)/(c (3ac - b^2)),
+    A1 = b^2 (1 - theta1) - 2 theta2, A2 = c^2 (1 - theta1) - 2 t^2 theta2
+    and A3 = 18 t theta2 - 9ad, each written over den."""
+    bd, ac = 3 * b * d - c**2, 3 * a * c - b**2
+    mixed, den = _mixed_term(a, b, c, d), _theta_den(a, b, c, d)
+    rest = den - 3 * mixed  # den * (1 - theta1)
+    theta2 = c**2 * ac**2
+    A1 = b**2 * rest - 2 * theta2
+    A2 = c**2 * rest - 2 * b**2 * bd**2
+    A3 = 18 * b * c * bd * ac - 9 * a * d * den
+    return _Forms(bd, ac, mixed, den, b * bd, c * ac, theta2, A1, A2, A3, 36 * A1 * A2 - A3**2)
+
+
 @lru_cache(maxsize=None)
 def cert_constants(n: int, k: int) -> CertConstants:
-    """Solve the three coefficient-matching equations for (theta1, theta2, t)
-    and form the leftover quadratic-form coefficients A1, A2, A3:
-
-        theta1 = 3(2ac^3 + 2b^3d - b^2c^2 - 3abcd) / (6ac^3 + 6b^3d - 4b^2c^2)
-        theta2 = c^2 (3ac - b^2)^2 / (6ac^3 + 6b^3d - 4b^2c^2)
-        t      = b (3bd - c^2) / (c (3ac - b^2))
-        A1     = b^2 (1 - theta1) - 2 theta2
-        A2     = c^2 (1 - theta1) - 2 t^2 theta2
-        A3     = 18 t theta2 - 9 a d
+    """The constants (theta1, theta2, t) that solve the three
+    coefficient-matching equations and the leftover quadratic-form
+    coefficients A1, A2, A3 (see _forms), at the binomial quadruple.
 
     The denominators are strictly positive throughout the admissible
     range (see lemma31_check), so everything here is a plain rational.
     """
     quad = binom_quad(n, k)
-    a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    theta1 = _theta1(a, b, c, d)
-    theta2 = Fraction(c**2 * (3 * a * c - b**2) ** 2, _theta_den(a, b, c, d))
-    t = Fraction(b * (3 * b * d - c**2), c * (3 * a * c - b**2))
-    A1 = b**2 * (1 - theta1) - 2 * theta2
-    A2 = c**2 * (1 - theta1) - 2 * t**2 * theta2
-    A3 = 18 * t * theta2 - 9 * a * d
-    return CertConstants(n, k, quad, theta1, theta2, t, A1, A2, A3)
+    f = _forms(quad.a, quad.b, quad.c, quad.d)
+    theta2, A1, A2, A3 = (Fraction(num, f.den) for num in (f.theta2, f.A1, f.A2, f.A3))
+    return CertConstants(n, k, quad, f.theta1, theta2, Fraction(f.tn, f.td), A1, A2, A3)
 
 
 # L, W, V and the residual, written once over plain scalars so that the
@@ -208,30 +228,6 @@ def w_value(z: Iterable[RationalLike], alpha: RationalLike, t: RationalLike) -> 
     return _w(*as_triple(z), as_rational(alpha), as_rational(t))
 
 
-def w_value_expanded(z: Iterable[RationalLike], alpha: RationalLike, t: RationalLike) -> Fraction:
-    """W through its expanded sigma form:
-
-        2 a^2 sum z_i^2 - 2 a^2 s2 + 2 a t s1 s2
-        + 2 t^2 sum_{p<q} z_p^2 z_q^2 - 2 t^2 s1 s3 - 18 a t s3
-
-    Agreement with w_value is itself a checked identity.
-    """
-    z1, z2, z3 = as_triple(z)
-    a = as_rational(alpha)
-    t = as_rational(t)
-    s1, s2, s3 = _sigmas(z1, z2, z3)
-    sum_sq = z1**2 + z2**2 + z3**2
-    pair_sq = z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2
-    return (
-        2 * a**2 * sum_sq
-        - 2 * a**2 * s2
-        + 2 * a * t * s1 * s2
-        + 2 * t**2 * pair_sq
-        - 2 * t**2 * s1 * s3
-        - 18 * a * t * s3
-    )
-
-
 def v_value(z: Iterable[RationalLike], alpha: RationalLike, consts: CertConstants) -> Fraction:
     """V(z) = A1 a^2 sum z_i^2 + A2 sum_{p<q} z_p^2 z_q^2 + A3 a s3.
 
@@ -299,14 +295,8 @@ class Lemma31Report(JsonResult):
 
 def lemma31_check(n: int, k: int) -> Lemma31Report:
     quad = binom_quad(n, k)
-    a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    return Lemma31Report(
-        n,
-        k,
-        3 * b * d - c**2,
-        3 * a * c - b**2,
-        _mixed_term(a, b, c, d),
-    )
+    f = _forms(quad.a, quad.b, quad.c, quad.d)
+    return Lemma31Report(n, k, f.bd, f.ac, f.mixed)
 
 
 @dataclass(frozen=True)
@@ -328,9 +318,11 @@ class Lemma32Report(JsonResult):
 
 
 def lemma32_check(n: int, k: int) -> Lemma32Report:
-    consts = cert_constants(n, k)
-    combo = consts.A1 * consts.A2 - consts.A3**2 / 36
-    return Lemma32Report(n, k, consts.A1, consts.A2, combo)
+    quad = binom_quad(n, k)
+    f = _forms(quad.a, quad.b, quad.c, quad.d)
+    return Lemma32Report(
+        n, k, Fraction(f.A1, f.den), Fraction(f.A2, f.den), Fraction(f.combo, 36 * f.den**2)
+    )
 
 
 # Auxiliary integer polynomials whose positivity on k = 1..n-2 underpins
@@ -383,7 +375,7 @@ def _f_scan_passes(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class WindowCheck:
+class WindowCheck(JsonResult):
     """Every certificate check of one window (n, k); the window passes
     when all of them hold."""
 
@@ -392,33 +384,26 @@ class WindowCheck:
     lemma31: bool
     lemma32: bool
     theta1: Fraction
-    theta2: Fraction
     f_scan: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            self.lemma31
-            and self.lemma32
-            and 0 < self.theta1 < 1
-            and self.theta2 > 0
-            and self.f_scan
-        )
+        return self.lemma31 and self.lemma32 and 0 < self.theta1 < 1 and self.f_scan
+
+    def to_json_dict(self) -> dict:
+        return {**super().to_json_dict(), "pass": self.passed}
 
 
 def window_check(n: int, k: int) -> WindowCheck:
-    """Lemma 3.1, lemma 3.2, 0 < theta1 < 1, theta2 > 0 and the f-scan
-    of n, for one window."""
-    consts = cert_constants(n, k)
-    return WindowCheck(
-        n,
-        k,
-        lemma31_check(n, k).all_positive,
-        lemma32_check(n, k).all_positive,
-        consts.theta1,
-        consts.theta2,
-        _f_scan_passes(n),
-    )
+    """Lemma 3.1, lemma 3.2, 0 < theta1 < 1 and the f-scan of n, for one
+    window.  The signs and theta1 are read off the forms at the
+    scale-free quadruple, so no binomial is built.  Under Lemma 3.1,
+    theta1 > 0 holds exactly when den > 0, which is when theta2 > 0."""
+    _check_general_range(n, k)
+    f = _forms(*_scale_free_quad(n, k))
+    lemma31 = f.bd > 0 and f.ac > 0 and f.mixed > 0
+    lemma32 = f.A1 * f.den > 0 and f.A2 * f.den > 0 and f.combo > 0
+    return WindowCheck(n, k, lemma31, lemma32, f.theta1, _f_scan_passes(n))
 
 
 def is_special_window(n: int, k: int) -> bool:

@@ -346,20 +346,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[object, bool]:
     from .certificate import window_check
 
     checks = [window_check(n, k) for n in range(4, args.n_max + 1) for k in range(1, n - 1)]
-    rows = [
-        {
-            "n": check.n,
-            "k": check.k,
-            "lemma31": check.lemma31,
-            "lemma32": check.lemma32,
-            "theta1": check.theta1,
-            "f_scan": check.f_scan,
-            "pass": check.passed,
-        }
-        for check in checks
-    ]
     all_pass = all(check.passed for check in checks)
-    payload = {"n_max": args.n_max, "pairs": len(rows), "all_pass": all_pass, "rows": rows}
+    payload = {"n_max": args.n_max, "pairs": len(checks), "all_pass": all_pass, "rows": checks}
     return payload, not all_pass
 
 

@@ -1,7 +1,21 @@
+import importlib.util
+import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import settings
+
+# Hypothesis imports libcst, when it is installed, to write the patch of a
+# failing example.  That import warns that mypy_extensions.TypedDict is
+# deprecated, and under -W error the warning ends the run with an
+# INTERNALERROR in place of the failure report, so import it once here with
+# only that warning ignored.
+if importlib.util.find_spec("libcst") is not None:
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+        )
+        import libcst  # noqa: F401
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")

@@ -4,13 +4,18 @@ scans, and the certified theta table."""
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import symcert.certificate as certificate
 from conftest import points, rationals, triples
 from symcert.certificate import (
+    CertConstants,
+    _forms,
+    _scale_free_quad,
     binom_quad,
     cert_constants,
     decomposition_coefficient_match,
@@ -27,11 +32,11 @@ from symcert.certificate import (
     theta_for,
     v_value,
     w_value,
-    w_value_expanded,
     window_check,
 )
 from symcert.core import sigma_all
 from symcert.gaps import quantitative_gap
+from symcert.polys import MPoly
 
 F = Fraction
 
@@ -50,6 +55,40 @@ wide_rationals = st.just(F(0)) | st.fractions(
 wide_triples = st.tuples(wide_rationals, wide_rationals, wide_rationals)
 bumps = st.fractions(min_value=-1, max_value=1, max_denominator=10**6).filter(bool)
 CONSTANT_NAMES = ["theta1", "theta2", "t", "A1", "A2", "A3"]
+FORM_DEGREES = dict(bd=2, ac=2, mixed=4, den=4, tn=3, td=3, theta2=6, A1=6, A2=6, A3=6, combo=12)
+
+
+def all_windows(n_max):
+    return [(n, k) for n in range(4, n_max + 1) for k in range(1, n - 1)]
+
+
+def chained_constants(a, b, c, d):
+    """(theta1, theta2, t, A1, A2, A3) as a chain of Fraction operations,
+    each constant built from the previous ones, written out here apart
+    from the certificate module's integer forms."""
+    den = 6 * a * c**3 + 6 * b**3 * d - 4 * b**2 * c**2
+    theta1 = F(3 * (2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d), den)
+    theta2 = F(c**2 * (3 * a * c - b**2) ** 2, den)
+    t = F(b * (3 * b * d - c**2), c * (3 * a * c - b**2))
+    A1 = b**2 * (1 - theta1) - 2 * theta2
+    A2 = c**2 * (1 - theta1) - 2 * t**2 * theta2
+    A3 = 18 * t * theta2 - 9 * a * d
+    return theta1, theta2, t, A1, A2, A3
+
+
+def lemma31_holds(a, b, c, d):
+    mixed = 2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d
+    return 3 * b * d - c**2 > 0 and 3 * a * c - b**2 > 0 and mixed > 0
+
+
+# positive quadruples with a > b^2/(3c) and d > c^2/(3b), so that 3ac > b^2
+# and 3bd > c^2, kept when the mixed term is positive too
+sizes = st.integers(1, 10**6)
+lemma31_quads = (
+    st.tuples(sizes, sizes, sizes, sizes)
+    .map(lambda q: (q[1] ** 2 // (3 * q[2]) + q[0], q[1], q[2], q[2] ** 2 // (3 * q[1]) + q[3]))
+    .filter(lambda q: lemma31_holds(*q))
+)
 
 
 def reference_residual(z, alpha, consts):
@@ -133,9 +172,19 @@ class TestWValue:
         with pytest.raises(ValueError):
             w_value((1, 2), 0, 1)
 
-    @given(triples, rationals, rationals)
-    def test_expanded_form_identity(self, z, alpha, t):
-        assert w_value(z, alpha, t) == w_value_expanded(z, alpha, t)
+    def test_expanded_form_identity(self):
+        # the square form equals its expanded sigma form as polynomials
+        z1, z2, z3, a, t = MPoly.variables(5)
+        s1, s2, s3 = z1 + z2 + z3, z1 * z2 + z1 * z3 + z2 * z3, z1 * z2 * z3
+        expanded = (
+            2 * a**2 * (z1**2 + z2**2 + z3**2)
+            - 2 * a**2 * s2
+            + 2 * a * t * s1 * s2
+            + 2 * t**2 * (z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2)
+            - 2 * t**2 * s1 * s3
+            - 18 * a * t * s3
+        )
+        assert not certificate._w(z1, z2, z3, a, t) - expanded
 
     @given(triples, rationals, rationals)
     def test_nonnegative(self, z, alpha, t):
@@ -295,13 +344,64 @@ class TestLemmaScans:
             ("lemma32", False),
             ("theta1", F(0)),
             ("theta1", F(1)),
-            ("theta2", F(0)),
             ("f_scan", False),
         ],
     )
     def test_window_check_fails_on_any_check(self, field, value):
         check = dataclasses.replace(window_check(5, 2), **{field: value})
         assert check.passed is False
+
+
+class TestForms:
+    """Every constant and lemma quantity is one integer form of the
+    quadruple; the window checks read the forms' signs at the scale-free
+    quadruple, the other checks at the binomials."""
+
+    def test_fields_are_the_degrees(self):
+        assert certificate._Forms._fields == tuple(FORM_DEGREES)
+
+    def test_homogeneous_in_the_quadruple(self):
+        for n, k in all_windows(60):
+            quad = binom_quad(n, k)
+            small = _scale_free_quad(n, k)
+            scale = F(comb(n, k - 1), k * (k + 1) * (k + 2))
+            assert (quad.a, quad.b, quad.c, quad.d) == tuple(scale * v for v in small)
+            big = _forms(quad.a, quad.b, quad.c, quad.d)._asdict()
+            for name, value in _forms(*small)._asdict().items():
+                assert big[name] == scale ** FORM_DEGREES[name] * value, (n, k, name)
+
+    def test_window_check_agrees_with_the_binomial_checks(self):
+        for n, k in all_windows(80):
+            check = window_check(n, k)
+            consts = cert_constants(n, k)
+            first, second = lemma31_check(n, k).all_positive, lemma32_check(n, k).all_positive
+            assert (check.lemma31, check.lemma32) == (first, second)
+            assert check.theta1 == consts.theta1 == theta_for(n, k)
+            scan = all(row.all_positive for row in f_scan(n))
+            assert check.passed == (
+                first and second and 0 < consts.theta1 < 1 and consts.theta2 > 0 and scan
+            )
+
+    def test_constants_equal_the_fraction_chain(self):
+        for n, k in all_windows(60):
+            quad = binom_quad(n, k)
+            chained = CertConstants(n, k, quad, *chained_constants(quad.a, quad.b, quad.c, quad.d))
+            assert cert_constants(n, k) == chained
+            assert cert_constants(n, k).to_json_dict() == chained.to_json_dict()
+
+    @given(lemma31_quads)
+    def test_lemma31_makes_theta2_positive_with_theta1(self, quad):
+        # 3bd > c^2 and 3ac > b^2 give 9ad > bc, so den = 3 mixed +
+        # bc(9ad - bc) > 0: theta1 > 0 holds exactly when theta2 > 0
+        # (both do), and window_check need not read theta2
+        theta1, theta2 = chained_constants(*quad)[:2]
+        assert _forms(*quad).den > 0
+        assert theta1 > 0 and theta2 > 0
+
+    def test_window_check_range(self):
+        for n, k in [(3, 1), (4, 0), (4, 3)]:
+            with pytest.raises(ValueError):
+                window_check(n, k)
 
 
 class TestFScan:

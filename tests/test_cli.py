@@ -279,6 +279,16 @@ class TestCertificateCommands:
         assert data["all_pass"] is True
         assert data["pairs"] == sum(n - 2 for n in range(4, 9))
 
+    def test_lemmas_build_no_binomial(self, capsys, monkeypatch):
+        expected = invoke(capsys, "lemmas", "--n-max", "12")
+
+        def refuse(n, k):
+            raise AssertionError("binom_quad called")
+
+        monkeypatch.setattr("symcert.certificate.binom_quad", refuse)
+        assert invoke(capsys, "lemmas", "--n-max", "12") == expected
+        assert expected[0] == 0 and json.loads(expected[1])["all_pass"] is True
+
     def test_theta(self, capsys):
         code, data, _ = invoke_json(capsys, "theta", "--n", "3", "--k", "1")
         assert code == 0

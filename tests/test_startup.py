@@ -2,6 +2,7 @@
 package's public names resolve lazily to their defining modules' objects."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -30,23 +31,27 @@ AllSamplesDegenerate CertificateViolation ScanGrid ScanReport ThetaSummary Witne
 empirical_theta find_counterexample_15 structured_scan report_bundle
 """.split()
 
-# README command -> the symcert modules it may load besides symcert, .cli, .core
-README_COMMANDS = [
-    (["--version"], set()),
-    (["sigma", "--x", '["4","4","1/4","1/4"]'], set()),
-    (["verify", "--ineq", "gen-nm", "--x", '["4","4","1/4","1/4"]', "--alpha", "1", "--k", "1"], None),
-    (["verify", "--ineq", "combo", "--x", '["4","4","1/4","1/4"]', "--coeffs", '["1","0","1"]'], None),
-    (["verify", "--ineq", "quantitative", "--x", '["1","2","3","4"]', "--alpha", "-2", "--k", "1"], None),
-    (["chain", "--x", '["1","2","3","4"]', "--alpha", "1"], None),
-    (["certificate", "--n", "4", "--k", "1"], {"certificate", "polys"}),
-    (["lemmas", "--n-max", "64"], {"certificate", "polys"}),
-    (["reduce", "--x", '["1","2","3","4"]', "--k", "1"], None),
-    (["theta", "--n", "4", "--k", "1"], {"certificate", "polys"}),
-    (["search", "conjecture15", "--m", "3", "--n", "4", "--seed", "0", "--budget", "2000"], None),
-    (["search", "theta", "--n", "4", "--k", "1", "--samples", "1000", "--seed", "0"], None),
-    (["search", "scan", "--family", "alternating-signs", "--n", "3"], None),
-    (["report", "--n-max", "8", "--seed", "0", "--samples", "200", "--out", "report.json"], None),
-]
+# README command name (as in the cli-readme golden manifest, which holds
+# the argv) -> the symcert modules it may load besides symcert, .cli, .core;
+# None puts no bound on them
+ALLOWED_MODULES = {
+    "startup": set(),
+    "sigma": set(),
+    "verify.gen-nm": None,
+    "verify.combo": None,
+    "verify.quantitative": None,
+    "chain": None,
+    "certificate": {"certificate", "polys"},
+    "lemmas": {"certificate", "polys"},
+    "reduce": None,
+    "theta": {"certificate", "polys"},
+    "search.conjecture15": None,
+    "search.theta": None,
+    "search.scan": None,
+    "report": None,
+}
+MANIFEST = SRC.parent / "perfbench" / "goldens" / "cli-readme" / "manifest.json"
+README_COMMANDS = json.loads(MANIFEST.read_text())["commands"]
 
 
 def _loaded_modules(argv, cwd):
@@ -68,10 +73,12 @@ def _loaded_modules(argv, cwd):
 
 
 @pytest.mark.parametrize(
-    "argv, allowed", README_COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in README_COMMANDS]
+    "entry", README_COMMANDS, ids=[" ".join(entry["argv"][:2]) for entry in README_COMMANDS]
 )
-def test_readme_command_imports(tmp_path, argv, allowed):
-    modules = _loaded_modules(argv, tmp_path)
+def test_readme_command_imports(tmp_path, entry):
+    assert entry["name"] in ALLOWED_MODULES, "a README command without allowed modules"
+    allowed = ALLOWED_MODULES[entry["name"]]
+    modules = _loaded_modules(entry["argv"], tmp_path)
     assert "typing" not in modules
     assert {"symcert", "symcert.cli", "symcert.core"} <= modules
     ours = {name.split(".", 1)[1] for name in modules if name.startswith("symcert.")}
