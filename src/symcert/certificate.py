@@ -58,10 +58,12 @@ class BinomQuad:
 
 
 def binom_quad(n: int, k: int) -> BinomQuad:
+    """One binomial, then three exact integer steps C(n, j+1) = C(n, j)(n-j)/(j+1)."""
     _check_general_range(n, k)
-    return BinomQuad(
-        n, k, binomial(n, k - 1), binomial(n, k), binomial(n, k + 1), binomial(n, k + 2)
-    )
+    a = binomial(n, k - 1)
+    b = a * (n - k + 1) // k
+    c = b * (n - k) // (k + 1)
+    return BinomQuad(n, k, a, b, c, c * (n - k - 1) // (k + 2))
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,11 @@ class CertConstants(JsonResult):
 
 def _mixed_term(a, b, c, d):
     return 2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d
+
+
+def _lemma31_terms(a, b, c, d) -> tuple[int, int, int]:
+    """The Lemma 3.1 quantities (3bd - c^2, 3ac - b^2, mixed)."""
+    return 3 * b * d - c**2, 3 * a * c - b**2, _mixed_term(a, b, c, d)
 
 
 def _theta_den(a, b, c, d):
@@ -129,8 +136,8 @@ def _forms(a, b, c, d) -> _Forms:
     """theta2 = c^2 (3ac - b^2)^2/den, t = b (3bd - c^2)/(c (3ac - b^2)),
     A1 = b^2 (1 - theta1) - 2 theta2, A2 = c^2 (1 - theta1) - 2 t^2 theta2
     and A3 = 18 t theta2 - 9ad, each written over den."""
-    bd, ac = 3 * b * d - c**2, 3 * a * c - b**2
-    mixed, den = _mixed_term(a, b, c, d), _theta_den(a, b, c, d)
+    bd, ac, mixed = _lemma31_terms(a, b, c, d)
+    den = _theta_den(a, b, c, d)
     rest = den - 3 * mixed  # den * (1 - theta1)
     theta2 = c**2 * ac**2
     A1 = b**2 * rest - 2 * theta2
@@ -295,8 +302,7 @@ class Lemma31Report(JsonResult):
 
 def lemma31_check(n: int, k: int) -> Lemma31Report:
     quad = binom_quad(n, k)
-    f = _forms(quad.a, quad.b, quad.c, quad.d)
-    return Lemma31Report(n, k, f.bd, f.ac, f.mixed)
+    return Lemma31Report(n, k, *_lemma31_terms(quad.a, quad.b, quad.c, quad.d))
 
 
 @dataclass(frozen=True)
@@ -346,27 +352,46 @@ def f4(n: int, k: int) -> int:
     return -(n + 5) * k**2 + (n**2 + 4 * n - 5) * k - n**2 + 1
 
 
-@dataclass(frozen=True)
-class FScanRow(JsonResult):
-    k: int
-    f1: int
-    f2: int
-    f3: int
-    f4: int
+class FScanRow(namedtuple("FScanRow", "k f1 f2 f3 f4"), JsonResult):
+    """f1..f4 at one k in [1, n-2], as an immutable named tuple."""
+
+    __slots__ = ()
 
     @property
     def all_positive(self) -> bool:
         return self.f1 > 0 and self.f2 > 0 and self.f3 > 0 and self.f4 > 0
 
     def to_json_dict(self) -> dict:
-        return {**super().to_json_dict(), "pass": self.all_positive}
+        return {**self._asdict(), "pass": self.all_positive}
+
+
+def _forward_differences(f, n: int) -> tuple[int, int, int, int]:
+    """f(n, 1) and its first three forward differences in k at k = 1."""
+    p1, p2, p3, p4 = (f(n, k) for k in range(1, 5))
+    return p1, p2 - p1, p3 - 2 * p2 + p1, p4 - 3 * p3 + 3 * p2 - p1
 
 
 def f_scan(n: int) -> list[FScanRow]:
-    """Evaluate f1..f4 at every integer k in [1, n-2]; all must be > 0."""
+    """Evaluate f1..f4 at every integer k in [1, n-2]; all must be > 0.
+
+    Each f is seeded at k = 1..4 and stepped by its exact integer forward
+    differences: f1 and f4 are quadratic in k (their third difference is
+    0), f2 and f3 cubic (constant third difference)."""
     if n < 4:
         raise ValueError(f"f_scan needs n >= 4, got {n}")
-    return [FScanRow(k, f1(n, k), f2(n, k), f3(n, k), f4(n, k)) for k in range(1, n - 1)]
+    (v1, d1, e1, _), (v2, d2, e2, g2), (v3, d3, e3, g3), (v4, d4, e4, _) = (
+        _forward_differences(f, n) for f in (f1, f2, f3, f4)
+    )
+    rows = []
+    # tuple.__new__ skips the named tuple's Python-level __new__ per row
+    new, append = tuple.__new__, rows.append
+    for k in range(1, n - 1):
+        append(new(FScanRow, (k, v1, v2, v3, v4)))
+        v1, d1 = v1 + d1, d1 + e1
+        v2, d2, e2 = v2 + d2, d2 + e2, e2 + g2
+        v3, d3, e3 = v3 + d3, d3 + e3, e3 + g3
+        v4, d4 = v4 + d4, d4 + e4
+    return rows
 
 
 @lru_cache(maxsize=None)

@@ -110,19 +110,25 @@ def to_json(value: object) -> object:
         return str(value)
     if isinstance(value, Enum):
         return value.value
+    if isinstance(value, JsonResult):
+        return value.to_json_dict()
     if isinstance(value, (tuple, list)):
         return [to_json(item) for item in value]
     if isinstance(value, dict):
         return {key: to_json(item) for key, item in value.items()}
-    if isinstance(value, JsonResult):
-        return value.to_json_dict()
     return value
 
 
 class JsonResult:
     """Base of the result dataclasses: to_json_dict() serializes the
     fields in declaration order.  A subclass whose JSON keys are not its
-    field names renames them through the keyword arguments."""
+    field names renames them through the keyword arguments.
+
+    A result may also be an immutable named tuple that overrides
+    to_json_dict(); to_json tests for JsonResult before tuple, so such a
+    result serializes as its dict, not as a list."""
+
+    __slots__ = ()
 
     def to_json_dict(self, **renames: str) -> dict:
         return {

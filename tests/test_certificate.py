@@ -14,6 +14,7 @@ import symcert.certificate as certificate
 from conftest import points, rationals, triples
 from symcert.certificate import (
     CertConstants,
+    FScanRow,
     _forms,
     _scale_free_quad,
     binom_quad,
@@ -34,7 +35,7 @@ from symcert.certificate import (
     w_value,
     window_check,
 )
-from symcert.core import sigma_all
+from symcert.core import sigma_all, to_json
 from symcert.gaps import quantitative_gap
 from symcert.polys import MPoly
 
@@ -134,6 +135,19 @@ class TestBinomQuad:
     def test_range_errors(self, n, k):
         with pytest.raises(ValueError):
             binom_quad(n, k)
+
+    @staticmethod
+    def assert_matches_comb(n, k):
+        quad = binom_quad(n, k)
+        assert (quad.a, quad.b, quad.c, quad.d) == tuple(comb(n, j) for j in range(k - 1, k + 3))
+
+    def test_every_window_to_260_matches_comb(self):
+        for n, k in all_windows(260):
+            self.assert_matches_comb(n, k)
+
+    @given(windows_up_to(5000))
+    def test_matches_comb_to_5000(self, pair):
+        self.assert_matches_comb(*pair)
 
 
 class TestCertConstants:
@@ -422,6 +436,28 @@ class TestFScan:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             f_scan(3)
+
+    def test_rows_equal_direct_evaluation(self):
+        for n in range(4, 401):
+            expected = [(k, f1(n, k), f2(n, k), f3(n, k), f4(n, k)) for k in range(1, n - 1)]
+            assert f_scan(n) == expected
+
+    def test_row_is_immutable(self):
+        row = f_scan(6)[1]
+        for field in ("k", "f1", "f2", "f3", "f4"):
+            with pytest.raises(AttributeError):
+                setattr(row, field, 0)
+        with pytest.raises(AttributeError):
+            row.extra = 0
+
+    def test_row_is_hashable_and_equals_constructed(self):
+        row = f_scan(6)[1]
+        built = FScanRow(2, 11, 21, 23, 31)
+        assert row == built and hash(row) == hash(built)
+
+    def test_to_json_is_to_json_dict(self):
+        for row in f_scan(7):
+            assert to_json(row) == row.to_json_dict()
 
     @pytest.mark.parametrize("n", range(4, 31))
     def test_endpoint_identities(self, n):
