@@ -59,12 +59,9 @@ _EXPORTS = {
         "decomposition_residual",
         "f_scan",
         "is_special_window",
-        "l_value",
         "lemma31_check",
         "lemma32_check",
         "theta_for",
-        "v_value",
-        "w_value",
         "window_check",
     ),
     "reduction": (

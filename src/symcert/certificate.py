@@ -18,7 +18,9 @@ it runs on the point's integer numerators over one common denominator D
 and is divided by M*D^4 once.  Every constant and lemma quantity is one
 homogeneous integer form of (a, b, c, d) (_forms), so window_check reads
 the signs and theta1 (of degree 0) at a scale-free quadruple of small
-polynomials in (n, k), and theta_for takes constant time in n.
+polynomials in (n, k), and theta_for takes constant time in n.  At the
+binomials, one cached record per window, built from one binom_quad and
+one _forms call, feeds the constants, both lemma checks and the residual.
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ def _mixed_term(a, b, c, d):
     return 2 * a * c**3 + 2 * b**3 * d - b**2 * c**2 - 3 * a * b * c * d
 
 
-def _lemma31_terms(a, b, c, d) -> tuple[int, int, int]:
-    """The Lemma 3.1 quantities (3bd - c^2, 3ac - b^2, mixed)."""
-    return 3 * b * d - c**2, 3 * a * c - b**2, _mixed_term(a, b, c, d)
-
-
 def _theta_den(a, b, c, d):
     return 6 * a * c**3 + 6 * b**3 * d - 4 * b**2 * c**2
 
@@ -136,7 +133,7 @@ def _forms(a, b, c, d) -> _Forms:
     """theta2 = c^2 (3ac - b^2)^2/den, t = b (3bd - c^2)/(c (3ac - b^2)),
     A1 = b^2 (1 - theta1) - 2 theta2, A2 = c^2 (1 - theta1) - 2 t^2 theta2
     and A3 = 18 t theta2 - 9ad, each written over den."""
-    bd, ac, mixed = _lemma31_terms(a, b, c, d)
+    bd, ac, mixed = 3 * b * d - c**2, 3 * a * c - b**2, _mixed_term(a, b, c, d)
     den = _theta_den(a, b, c, d)
     rest = den - 3 * mixed  # den * (1 - theta1)
     theta2 = c**2 * ac**2
@@ -146,19 +143,42 @@ def _forms(a, b, c, d) -> _Forms:
     return _Forms(bd, ac, mixed, den, b * bd, c * ac, theta2, A1, A2, A3, 36 * A1 * A2 - A3**2)
 
 
-@lru_cache(maxsize=None)
-def cert_constants(n: int, k: int) -> CertConstants:
-    """The constants (theta1, theta2, t) that solve the three
-    coefficient-matching equations and the leftover quadratic-form
-    coefficients A1, A2, A3 (see _forms), at the binomial quadruple.
+@dataclass(frozen=True)
+class Lemma31Report(JsonResult):
+    """The three exact positivity quantities: 3bd - c^2, 3ac - b^2, and
+    2ac^3 + 2b^3d - b^2c^2 - 3abcd."""
 
-    The denominators are strictly positive throughout the admissible
-    range (see lemma31_check), so everything here is a plain rational.
-    """
-    quad = binom_quad(n, k)
-    f = _forms(quad.a, quad.b, quad.c, quad.d)
-    theta2, A1, A2, A3 = (Fraction(num, f.den) for num in (f.theta2, f.A1, f.A2, f.A3))
-    return CertConstants(n, k, quad, f.theta1, theta2, Fraction(f.tn, f.td), A1, A2, A3)
+    n: int
+    k: int
+    bd_term: int
+    ac_term: int
+    mixed_term: int
+
+    @property
+    def all_positive(self) -> bool:
+        return self.bd_term > 0 and self.ac_term > 0 and self.mixed_term > 0
+
+    def to_json_dict(self) -> dict:
+        names = {"bd_term": "3bd-c2", "ac_term": "3ac-b2", "mixed_term": "2ac3+2b3d-b2c2-3abcd"}
+        return {**super().to_json_dict(**names), "pass": self.all_positive}
+
+
+@dataclass(frozen=True)
+class Lemma32Report(JsonResult):
+    """Positivity of A1, A2 and the discriminant combination A1 A2 - A3^2/36."""
+
+    n: int
+    k: int
+    A1: Fraction
+    A2: Fraction
+    discriminant_combo: Fraction
+
+    @property
+    def all_positive(self) -> bool:
+        return self.A1 > 0 and self.A2 > 0 and self.discriminant_combo > 0
+
+    def to_json_dict(self) -> dict:
+        return {**super().to_json_dict(discriminant_combo="A1A2-A3^2/36"), "pass": self.all_positive}
 
 
 # L, W, V and the residual, written once over plain scalars so that the
@@ -194,19 +214,13 @@ def _v(z1, z2, z3, alpha, A1, A2, A3):
     return A1 * alpha**2 * sum_sq + A2 * pair_sq + A3 * alpha * z1 * z2 * z3
 
 
-@dataclass(frozen=True)
-class _ClearedConstants:
-    """The decomposition's constants times M, the lcm of the denominators
-    of theta1, theta2/tq^2, A1, A2 and A3, with t = tn/tq: all integers."""
+class _ClearedConstants(namedtuple("_ClearedConstants", "scale theta1 theta2 tn tq A1 A2 A3")):
+    """The decomposition's constants times M = scale, the lcm of the
+    denominators of theta1, theta2/tq^2, A1, A2 and A3, with t = tn/tq:
+    all integers.  theta2 is M*theta2/tq^2, the factor of
+    _w(z, alpha*tq, tn).  A named tuple, as each window record keeps one."""
 
-    scale: int
-    theta1: int
-    theta2: int  # M*theta2/tq^2, the factor of _w(z, alpha*tq, tn)
-    tn: int
-    tq: int
-    A1: int
-    A2: int
-    A3: int
+    __slots__ = ()
 
 
 def _cleared(consts: CertConstants) -> _ClearedConstants:
@@ -229,25 +243,68 @@ def _residual(z1, z2, z3, alpha, quad: BinomQuad, m: _ClearedConstants):
     )
 
 
-def w_value(z: Iterable[RationalLike], alpha: RationalLike, t: RationalLike) -> Fraction:
-    """W(z, t) = sum over pairs of (z_i - z_j)^2 (alpha + t z_l)^2, the
-    manifestly nonnegative square form."""
-    return _w(*as_triple(z), as_rational(alpha), as_rational(t))
+class _Window:
+    """The record of one window (n, k), built from one binom_quad and one
+    _forms call: the constants, then on first read the Lemma 3.1 and 3.2
+    reports and the cleared constants of the residual.  Of the forms it
+    keeps only the five the lemma reports read, until it builds them."""
+
+    __slots__ = ("constants", "_lemma_forms", "_lemmas", "_cleared")
+
+    def __init__(self, constants: CertConstants, forms: _Forms) -> None:
+        self.constants = constants
+        self._lemma_forms = forms.bd, forms.ac, forms.mixed, forms.combo, forms.den
+        self._lemmas = None
+        self._cleared = None
+
+    @property
+    def lemmas(self) -> tuple[Lemma31Report, Lemma32Report]:
+        if self._lemmas is None:
+            c = self.constants
+            bd, ac, mixed, combo, den = self._lemma_forms
+            self._lemmas = (
+                Lemma31Report(c.n, c.k, bd, ac, mixed),
+                Lemma32Report(c.n, c.k, c.A1, c.A2, Fraction(combo, 36 * den**2)),
+            )
+            self._lemma_forms = None
+        return self._lemmas
+
+    @property
+    def cleared(self) -> _ClearedConstants:
+        if self._cleared is None:
+            self._cleared = _cleared(self.constants)
+        return self._cleared
 
 
-def v_value(z: Iterable[RationalLike], alpha: RationalLike, consts: CertConstants) -> Fraction:
-    """V(z) = A1 a^2 sum z_i^2 + A2 sum_{p<q} z_p^2 z_q^2 + A3 a s3.
+@lru_cache(maxsize=None)
+def _window(n: int, k: int) -> _Window:
+    quad = binom_quad(n, k)
+    f = _forms(quad.a, quad.b, quad.c, quad.d)
+    den = f.den
+    constants = CertConstants(
+        n, k, quad, f.theta1, Fraction(f.theta2, den), Fraction(f.tn, f.td),
+        Fraction(f.A1, den), Fraction(f.A2, den), Fraction(f.A3, den),
+    )
+    return _Window(constants, f)
 
-    Nonnegative for in-range constants: A1 a^2 z_i^2 + A2 z_p^2 z_q^2 >=
-    2 sqrt(A1 A2) |a s3| > |A3 a s3| / 3 for each of the three pairings.
+
+def cert_constants(n: int, k: int) -> CertConstants:
+    """The constants (theta1, theta2, t) that solve the three
+    coefficient-matching equations and the leftover quadratic-form
+    coefficients A1, A2, A3 (see _forms), at the binomial quadruple.
+
+    The denominators are strictly positive throughout the admissible
+    range (see lemma31_check), so everything here is a plain rational.
     """
-    return _v(*as_triple(z), as_rational(alpha), consts.A1, consts.A2, consts.A3)
+    return _window(n, k).constants
 
 
-def l_value(z: Iterable[RationalLike], alpha: RationalLike, n: int, k: int) -> Fraction:
-    """The reduced three-variable gap
-    (alpha*b*s1 + c*s2)^2 - (3*alpha*a + b*s1)(alpha*c*s2 + 3*d*s3)."""
-    return _l(*as_triple(z), as_rational(alpha), binom_quad(n, k))
+def lemma31_check(n: int, k: int) -> Lemma31Report:
+    return _window(n, k).lemmas[0]
+
+
+def lemma32_check(n: int, k: int) -> Lemma32Report:
+    return _window(n, k).lemmas[1]
 
 
 def decomposition_residual(
@@ -261,10 +318,10 @@ def decomposition_residual(
     (z1, z2, z3, alpha) over their common denominator D; every term is
     homogeneous of degree 4, so the value is that integer over M*D^4.
     """
-    consts = cert_constants(n, k)
-    cleared = _cleared(consts)
+    window = _window(n, k)
+    cleared = window.cleared
     den, point = over_common_denominator((*as_triple(z), as_rational(alpha)))
-    return Fraction(_residual(*point, consts.quad, cleared), cleared.scale * den**4)
+    return Fraction(_residual(*point, window.constants.quad, cleared), cleared.scale * den**4)
 
 
 def decomposition_coefficient_match(n: int, k: int) -> bool:
@@ -276,59 +333,8 @@ def decomposition_coefficient_match(n: int, k: int) -> bool:
     that code.  Conclusive where random-point sampling could in principle
     miss a measure-zero discrepancy.
     """
-    consts = cert_constants(n, k)
-    return not _residual(*MPoly.variables(4), consts.quad, _cleared(consts))
-
-
-@dataclass(frozen=True)
-class Lemma31Report(JsonResult):
-    """The three exact positivity quantities: 3bd - c^2, 3ac - b^2, and
-    2ac^3 + 2b^3d - b^2c^2 - 3abcd."""
-
-    n: int
-    k: int
-    bd_term: int
-    ac_term: int
-    mixed_term: int
-
-    @property
-    def all_positive(self) -> bool:
-        return self.bd_term > 0 and self.ac_term > 0 and self.mixed_term > 0
-
-    def to_json_dict(self) -> dict:
-        names = {"bd_term": "3bd-c2", "ac_term": "3ac-b2", "mixed_term": "2ac3+2b3d-b2c2-3abcd"}
-        return {**super().to_json_dict(**names), "pass": self.all_positive}
-
-
-def lemma31_check(n: int, k: int) -> Lemma31Report:
-    quad = binom_quad(n, k)
-    return Lemma31Report(n, k, *_lemma31_terms(quad.a, quad.b, quad.c, quad.d))
-
-
-@dataclass(frozen=True)
-class Lemma32Report(JsonResult):
-    """Positivity of A1, A2 and the discriminant combination A1 A2 - A3^2/36."""
-
-    n: int
-    k: int
-    A1: Fraction
-    A2: Fraction
-    discriminant_combo: Fraction
-
-    @property
-    def all_positive(self) -> bool:
-        return self.A1 > 0 and self.A2 > 0 and self.discriminant_combo > 0
-
-    def to_json_dict(self) -> dict:
-        return {**super().to_json_dict(discriminant_combo="A1A2-A3^2/36"), "pass": self.all_positive}
-
-
-def lemma32_check(n: int, k: int) -> Lemma32Report:
-    quad = binom_quad(n, k)
-    f = _forms(quad.a, quad.b, quad.c, quad.d)
-    return Lemma32Report(
-        n, k, Fraction(f.A1, f.den), Fraction(f.A2, f.den), Fraction(f.combo, 36 * f.den**2)
-    )
+    window = _window(n, k)
+    return not _residual(*MPoly.variables(4), window.constants.quad, window.cleared)
 
 
 # Auxiliary integer polynomials whose positivity on k = 1..n-2 underpins

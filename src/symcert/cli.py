@@ -409,10 +409,11 @@ def _cmd_report(args: argparse.Namespace) -> tuple[object, bool]:
     from .report import report_bundle
 
     document = report_bundle(args.n_max, args.seed, args.samples)
+    failed = not document["checks"]["all_pass"]
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
-        return {"written": args.out, "n_max": args.n_max}, False
-    return document, not document["checks"]["all_pass"]
+        return {"written": args.out, "n_max": args.n_max}, failed
+    return document, failed
 

@@ -15,8 +15,13 @@ from conftest import points, rationals, triples
 from symcert.certificate import (
     CertConstants,
     FScanRow,
+    Lemma31Report,
+    Lemma32Report,
     _forms,
+    _l,
     _scale_free_quad,
+    _v,
+    _w,
     binom_quad,
     cert_constants,
     decomposition_coefficient_match,
@@ -27,15 +32,12 @@ from symcert.certificate import (
     f4,
     f_scan,
     is_special_window,
-    l_value,
     lemma31_check,
     lemma32_check,
     theta_for,
-    v_value,
-    w_value,
     window_check,
 )
-from symcert.core import sigma_all, to_json
+from symcert.core import as_triple, over_common_denominator, sigma_all, to_json
 from symcert.gaps import quantitative_gap
 from symcert.polys import MPoly
 
@@ -118,6 +120,38 @@ def perturbed(n, k, name, bump):
     return dataclasses.replace(exact, **{name: getattr(exact, name) + bump})
 
 
+def record_of(consts):
+    """A window record holding the given constants: patched in for the
+    cached record lookup, it feeds them to the residual and the match."""
+    quad = consts.quad
+    return certificate._Window(consts, _forms(quad.a, quad.b, quad.c, quad.d))
+
+
+def a_terms(consts):
+    return consts.A1, consts.A2, consts.A3
+
+
+def recomputed(n, k):
+    """The constants, both lemma reports and the cleared constants of one
+    window, rebuilt here without the record's cache, from binom_quad,
+    _forms, Fraction and over_common_denominator."""
+    quad = binom_quad(n, k)
+    f = _forms(quad.a, quad.b, quad.c, quad.d)
+    theta2, A1, A2, A3 = (F(num, f.den) for num in (f.theta2, f.A1, f.A2, f.A3))
+    consts = CertConstants(n, k, quad, f.theta1, theta2, F(f.tn, f.td), A1, A2, A3)
+    lemma31 = Lemma31Report(n, k, f.bd, f.ac, f.mixed)
+    lemma32 = Lemma32Report(n, k, F(f.A1, f.den), F(f.A2, f.den), F(f.combo, 36 * f.den**2))
+    tn, tq = consts.t.numerator, consts.t.denominator
+    scale, (m1, m2, m3, m4, m5) = over_common_denominator((f.theta1, theta2 / tq**2, A1, A2, A3))
+    cleared = certificate._ClearedConstants(scale, m1, m2, tn, tq, m3, m4, m5)
+    return consts, lemma31, lemma32, cleared
+
+
+def recomputed_residual(z, alpha, quad, cleared):
+    den, point = over_common_denominator((*z, alpha))
+    return F(certificate._residual(*point, quad, cleared), cleared.scale * den**4)
+
+
 class TestBinomQuad:
     @pytest.mark.parametrize(
         "n,k,expected",
@@ -177,14 +211,14 @@ class TestCertConstants:
 
 class TestWValue:
     def test_equal_entries_vanish(self):
-        assert w_value((1, 1, 1), F(7, 2), F(-5, 3)) == 0
+        assert _w(1, 1, 1, F(7, 2), F(-5, 3)) == 0
 
     def test_plain_value(self):
-        assert w_value((1, 2, 3), 0, 1) == 26
+        assert _w(1, 2, 3, 0, 1) == 26
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            w_value((1, 2), 0, 1)
+            _w(*as_triple((1, 2)), 0, 1)
 
     def test_expanded_form_identity(self):
         # the square form equals its expanded sigma form as polynomials
@@ -202,32 +236,32 @@ class TestWValue:
 
     @given(triples, rationals, rationals)
     def test_nonnegative(self, z, alpha, t):
-        assert w_value(z, alpha, t) >= 0
+        assert _w(*z, alpha, t) >= 0
 
 
 class TestVValue:
     def test_zero_point(self):
-        assert v_value((0, 0, 0), 5, cert_constants(4, 1)) == 0
+        assert _v(0, 0, 0, 5, *a_terms(cert_constants(4, 1))) == 0
 
     @given(triples)
     def test_alpha_zero_is_square_sum(self, z):
         consts = cert_constants(4, 1)
         z1, z2, z3 = z
         expected = consts.A2 * (z1**2 * z2**2 + z1**2 * z3**2 + z2**2 * z3**2)
-        assert v_value(z, 0, consts) == expected
+        assert _v(*z, 0, *a_terms(consts)) == expected
         assert expected >= 0
 
     def test_unit_point(self):
-        assert v_value((1, 1, 1), 1, cert_constants(4, 1)) == F(450, 11)
+        assert _v(1, 1, 1, 1, *a_terms(cert_constants(4, 1))) == F(450, 11)
 
     @given(triples, rationals, window_pairs)
     def test_nonnegative_in_range(self, z, alpha, pair):
-        assert v_value(z, alpha, cert_constants(*pair)) >= 0
+        assert _v(*z, alpha, *a_terms(cert_constants(*pair))) >= 0
 
 
 class TestLValue:
     def test_alpha_zero_value(self):
-        assert l_value((1, 2, 3), 0, 4, 1) == 2628
+        assert _l(1, 2, 3, 0, binom_quad(4, 1)) == 2628
 
     @given(triples, rationals, window_pairs)
     def test_decomposes_exactly(self, z, alpha, pair):
@@ -238,10 +272,10 @@ class TestLValue:
         head = (alpha * quad.b * s(1) + quad.c * s(2)) ** 2
         total = (
             consts.theta1 * head
-            + consts.theta2 * w_value(z, alpha, consts.t)
-            + v_value(z, alpha, consts)
+            + consts.theta2 * _w(*z, alpha, consts.t)
+            + _v(*z, alpha, *a_terms(consts))
         )
-        assert l_value(z, alpha, n, k) == total
+        assert _l(*z, alpha, quad) == total
 
     def test_constant_point_drops_square_form(self):
         # all entries equal, so the square form W vanishes
@@ -250,8 +284,8 @@ class TestLValue:
         s = sigma_all(z).sigma_at
         alpha = F(7, 5)
         head = (alpha * consts.quad.b * s(1) + consts.quad.c * s(2)) ** 2
-        assert w_value(z, alpha, consts.t) == 0
-        assert l_value(z, alpha, 4, 1) == consts.theta1 * head + v_value(z, alpha, consts)
+        assert _w(*z, alpha, consts.t) == 0
+        assert _l(*z, alpha, consts.quad) == consts.theta1 * head + _v(*z, alpha, *a_terms(consts))
 
 
 class TestDecomposition:
@@ -271,7 +305,7 @@ class TestDecomposition:
     def test_perturbed_constant_is_caught(self, monkeypatch, name):
         exact = cert_constants(5, 2)
         bumped = dataclasses.replace(exact, **{name: getattr(exact, name) + F(1, 10**6)})
-        monkeypatch.setattr("symcert.certificate.cert_constants", lambda n, k: bumped)
+        monkeypatch.setattr("symcert.certificate._window", lambda n, k: record_of(bumped))
         assert decomposition_coefficient_match(5, 2) is False
         assert decomposition_residual((1, 2, 3), F(1, 3), 5, 2) != 0
 
@@ -291,14 +325,14 @@ class TestIntegerResidual:
     def test_matches_fraction_reference_off_the_identity(self, name, z, alpha, pair, bump):
         consts = perturbed(*pair, name, bump)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("symcert.certificate.cert_constants", lambda n, k: consts)
+            patch.setattr("symcert.certificate._window", lambda n, k: record_of(consts))
             value = decomposition_residual(z, alpha, *pair)
         assert value == reference_residual(z, alpha, consts)
 
     @pytest.mark.parametrize("name", CONSTANT_NAMES)
     def test_perturbed_values_are_nonzero(self, monkeypatch, name):
         consts = perturbed(7, 3, name, F(1, 997))
-        monkeypatch.setattr("symcert.certificate.cert_constants", lambda n, k: consts)
+        monkeypatch.setattr("symcert.certificate._window", lambda n, k: record_of(consts))
         z, alpha = (F(2, 3), F(-5, 7), F(11, 13)), F(-3, 17)
         value = decomposition_residual(z, alpha, 7, 3)
         assert value != 0
@@ -310,10 +344,80 @@ class TestIntegerResidual:
         consts = perturbed(9, 4, "A3", bump)
         scaled = tuple(scale * v for v in z)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("symcert.certificate.cert_constants", lambda n, k: consts)
+            patch.setattr("symcert.certificate._window", lambda n, k: record_of(consts))
             base = decomposition_residual(z, alpha, 9, 4)
             assert decomposition_residual(scaled, scale * alpha, 9, 4) == scale**4 * base
         assert base == reference_residual(z, alpha, consts)
+
+    def test_no_perturbed_record_stays_cached(self):
+        # the perturbation tests above patch the record lookup, never the cache
+        z, alpha = (F(2, 3), F(-5, 7), F(11, 13)), F(-3, 17)
+        for n, k in [(5, 2), (7, 3), (9, 4)]:
+            consts, lemma31, lemma32, cleared = recomputed(n, k)
+            assert cert_constants(n, k) == consts
+            assert (lemma31_check(n, k), lemma32_check(n, k)) == (lemma31, lemma32)
+            assert certificate._window(n, k).cleared == cleared
+            assert decomposition_residual(z, alpha, n, k) == 0
+
+
+class TestWindowRecord:
+    """One cached record per window feeds the constants, both lemma checks,
+    the residual and the coefficient match."""
+
+    READERS = {
+        "cert_constants": cert_constants,
+        "lemma31_check": lemma31_check,
+        "lemma32_check": lemma32_check,
+        "decomposition_residual": lambda n, k: decomposition_residual((1, 2, 3), F(1, 3), n, k),
+        "decomposition_coefficient_match": decomposition_coefficient_match,
+    }
+
+    def test_readers_equal_the_recomputation_to_120(self):
+        z, alpha = (F(2, 3), F(-5, 7), F(11, 13)), F(-3, 17)
+        variables = MPoly.variables(4)
+        for n, k in all_windows(120):
+            consts, lemma31, lemma32, cleared = recomputed(n, k)
+            assert cert_constants(n, k) == consts
+            assert lemma31_check(n, k) == lemma31
+            assert lemma32_check(n, k) == lemma32
+            assert certificate._window(n, k).cleared == cleared
+            assert decomposition_residual(z, alpha, n, k) == recomputed_residual(
+                z, alpha, consts.quad, cleared
+            )
+            # the symbolic match costs about a millisecond: every window to
+            # n = 16, then the edges and the middle of each n
+            if n <= 16 or k in (1, n // 2, n - 2):
+                expected = not certificate._residual(*variables, consts.quad, cleared)
+                assert decomposition_coefficient_match(n, k) is expected is True
+
+    def test_readers_share_one_record(self):
+        window = certificate._window(30, 11)
+        assert cert_constants(30, 11) is window.constants
+        assert (lemma31_check(30, 11), lemma32_check(30, 11)) == window.lemmas
+        assert lemma32_check(30, 11) is lemma32_check(30, 11)
+        assert lemma32_check(30, 11).A1 is window.constants.A1
+
+    def test_lemmas_and_cleared_are_built_on_first_read(self):
+        # the uncached builder: a fresh record has built neither the lemma
+        # reports nor the cleared constants
+        window = certificate._window.__wrapped__(141, 70)
+        quad = window.constants.quad
+        assert (window._lemmas, window._cleared) == (None, None)
+        f = _forms(quad.a, quad.b, quad.c, quad.d)
+        assert window._lemma_forms == (f.bd, f.ac, f.mixed, f.combo, f.den)
+        lemmas = window.lemmas
+        assert window._lemma_forms is None and window.lemmas is lemmas
+        assert window.cleared is window.cleared == recomputed(141, 70)[3]
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_out_of_range_raises_and_caches_nothing(self, name):
+        before = certificate._window.cache_info()
+        for n, k in [(3, 1), (4, 0), (4, 3)]:
+            with pytest.raises(ValueError):
+                self.READERS[name](n, k)
+        after = certificate._window.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses + 3
 
 
 class TestLemmaScans:

@@ -412,6 +412,17 @@ class TestReport:
         document = json.loads(target.read_text())
         assert document["config"]["n_max"] == 4
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_failed_check_exits_one(self, capsys, tmp_path, monkeypatch, out):
+        # with --out too, the exit code says whether every check passed
+        document = {"checks": {"all_pass": False}}
+        monkeypatch.setattr("symcert.report.report_bundle", lambda n_max, seed, samples: document)
+        argv = ["report", "--n-max", "4", "--samples", "10"]
+        if out:
+            argv += ["--out", str(tmp_path / "report.json")]
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 1
+
     def test_out_file_matches_the_benchmark_golden(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, _, _ = invoke(

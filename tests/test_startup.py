@@ -23,8 +23,8 @@ EqualityCase GapReport PreconditionError Relation gen_maclaurin_chain gen_nm_gap
 linear_combo_gap liu_ren_gap maclaurin_chain_check newton_gap quantitative_gap
 remark_violation BinomQuad CertConstants FScanRow Lemma31Report Lemma32Report
 WindowCheck binom_quad cert_constants decomposition_coefficient_match
-decomposition_residual f_scan is_special_window l_value lemma31_check lemma32_check
-theta_for v_value w_value window_check Branch CascadeResult Cubic RootTriple
+decomposition_residual f_scan is_special_window lemma31_check lemma32_check
+theta_for window_check Branch CascadeResult Cubic RootTriple
 associated_cubic cubic_discriminant degenerate_direct_gap derivative_cascade
 gap_from_moments lemma21_identity_residual real_cubic_roots reduce_to_three
 AllSamplesDegenerate CertificateViolation ScanGrid ScanReport ThetaSummary Witness
