@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # defining submodule -> the public names it exports
 _EXPORTS = {
     "core": (
-        "NAIVE_LIMIT",
         "AllSamplesDegenerate",
         "CertificateViolation",
         "SymProfile",
@@ -27,7 +26,6 @@ _EXPORTS = {
         "garding_membership",
         "parse_point",
         "sigma_all",
-        "sigma_naive",
         "to_json",
     ),
     "gaps": (

@@ -21,15 +21,20 @@ the signs and theta1 (of degree 0) at a scale-free quadruple of small
 polynomials in (n, k), and theta_for takes constant time in n.  At the
 binomials, one cached record per window, built from one binom_quad and
 one _forms call, feeds the constants, both lemma checks and the residual.
+
+The f1..f4 scans depend on n alone: one cached store per n keeps their
+values over k = 1..n-2 as four compact integer columns, f_scan builds
+fresh rows from it on every call, and the window checks read the columns
+and build no row.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (
     JsonResult,
@@ -377,8 +382,22 @@ def _forward_differences(f, n: int) -> tuple[int, int, int, int]:
     return p1, p2 - p1, p3 - 2 * p2 + p1, p4 - 3 * p3 + 3 * p2 - p1
 
 
-def f_scan(n: int) -> list[FScanRow]:
-    """Evaluate f1..f4 at every integer k in [1, n-2]; all must be > 0.
+def _column(values: list[int]) -> Sequence[int]:
+    """values as a compact array('q'), or as a tuple of exact ints once
+    one of them outgrows 64 bits (f4 peaks near n^3/4, past 2^63 from
+    about n = 3.3 million)."""
+    # imported here: the theta and certificate commands load this module but scan nothing
+    from array import array
+
+    try:
+        return array("q", values)
+    except OverflowError:
+        return tuple(values)
+
+
+@lru_cache(maxsize=None)
+def _f_columns(n: int) -> tuple[Sequence[int], ...]:
+    """f1..f4 over k = 1..n-2, one column each, computed once per n.
 
     Each f is seeded at k = 1..4 and stepped by its exact integer forward
     differences: f1 and f4 are quadratic in k (their third difference is
@@ -388,21 +407,34 @@ def f_scan(n: int) -> list[FScanRow]:
     (v1, d1, e1, _), (v2, d2, e2, g2), (v3, d3, e3, g3), (v4, d4, e4, _) = (
         _forward_differences(f, n) for f in (f1, f2, f3, f4)
     )
-    rows = []
-    # tuple.__new__ skips the named tuple's Python-level __new__ per row
-    new, append = tuple.__new__, rows.append
-    for k in range(1, n - 1):
-        append(new(FScanRow, (k, v1, v2, v3, v4)))
+    c1, c2, c3, c4 = [], [], [], []
+    for _ in range(n - 2):
+        c1.append(v1)
+        c2.append(v2)
+        c3.append(v3)
+        c4.append(v4)
         v1, d1 = v1 + d1, d1 + e1
         v2, d2, e2 = v2 + d2, d2 + e2, e2 + g2
         v3, d3, e3 = v3 + d3, d3 + e3, e3 + g3
         v4, d4 = v4 + d4, d4 + e4
-    return rows
+    return tuple(map(_column, (c1, c2, c3, c4)))
+
+
+# tuple.__new__ skips the named tuple's Python-level __new__ per row
+_new_row = partial(tuple.__new__, FScanRow)
+
+
+def f_scan(n: int) -> list[FScanRow]:
+    """Evaluate f1..f4 at every integer k in [1, n-2]; all must be > 0.
+
+    The values come from the cached columns of n; the rows are new on
+    every call, and no row is cached."""
+    return list(map(_new_row, zip(range(1, n - 1), *_f_columns(n))))
 
 
 @lru_cache(maxsize=None)
 def _f_scan_passes(n: int) -> bool:
-    return all(row.all_positive for row in f_scan(n))
+    return all(min(column) > 0 for column in _f_columns(n))
 
 
 @dataclass(frozen=True)

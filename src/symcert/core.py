@@ -16,12 +16,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 RationalLike = Fraction | int | str
-
-# sigma_naive enumerates 2^n subsets; refuse anything bigger than this.
-NAIVE_LIMIT = 20
 
 # Fraction("1e<e>") builds 10**|e| exactly, which takes seconds once |e|
 # reaches the millions, so decimal exponents past this bound are refused
@@ -214,24 +210,6 @@ def sigma_all(x: Iterable[RationalLike]) -> SymProfile:
         out.append(Fraction(s, den))
         den *= scale
     return SymProfile(len(point), tuple(out))
-
-
-def sigma_naive(x: Iterable[RationalLike]) -> SymProfile:
-    """Testing oracle: sigma_k by explicit enumeration of all k-subsets.
-
-    Entries are scaled to a common denominator so the inner products run
-    on plain integers; the result is identical to ``sigma_all``.
-    """
-    point = as_point(x)
-    n = len(point)
-    if n > NAIVE_LIMIT:
-        raise ValueError(f"sigma_naive enumerates 2^n subsets; refusing n={n} > {NAIVE_LIMIT}")
-    scale, ints = over_common_denominator(point)
-    sig = [Fraction(1)]
-    for k in range(1, n + 1):
-        total = sum(math.prod(c) for c in combinations(ints, k))
-        sig.append(Fraction(total, scale**k))
-    return SymProfile(n, tuple(sig))
 
 
 def e_all(x: Iterable[RationalLike]) -> list[Fraction]:

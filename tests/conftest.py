@@ -1,9 +1,13 @@
 import importlib.util
+import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 from hypothesis import settings
+
+from symcert.core import SymProfile, as_point, over_common_denominator
 
 # Hypothesis imports libcst, when it is installed, to write the patch of a
 # failing example.  That import warns that mypy_extensions.TypedDict is
@@ -40,3 +44,23 @@ def horner(poly, x) -> Fraction:
     for c in reversed(poly):
         acc = acc * x + c
     return acc
+
+
+# sigma_naive enumerates 2^n subsets; refuse anything bigger than this.
+NAIVE_LIMIT = 20
+
+
+def sigma_naive(x) -> SymProfile:
+    """The oracle for sigma_all: sigma_k by explicit enumeration of all
+    k-subsets, on the entries' integer numerators over one common
+    denominator."""
+    point = as_point(x)
+    n = len(point)
+    if n > NAIVE_LIMIT:
+        raise ValueError(f"sigma_naive enumerates 2^n subsets; refusing n={n} > {NAIVE_LIMIT}")
+    scale, ints = over_common_denominator(point)
+    sig = [Fraction(1)]
+    for k in range(1, n + 1):
+        total = sum(math.prod(c) for c in combinations(ints, k))
+        sig.append(Fraction(total, scale**k))
+    return SymProfile(n, tuple(sig))

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import horner, rand_fraction
+from conftest import horner, rand_fraction, sigma_naive
 from symcert import report_bundle
 from symcert.certificate import (
     cert_constants,
@@ -25,7 +25,7 @@ from symcert.certificate import (
     lemma32_check,
     theta_for,
 )
-from symcert.core import e_all, sigma_all, sigma_naive
+from symcert.core import e_all, sigma_all
 from symcert.gaps import (
     EqualityCase,
     gen_maclaurin_chain,

@@ -3,6 +3,8 @@
 scans, and the certified theta table."""
 
 import dataclasses
+import tracemalloc
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +19,9 @@ from symcert.certificate import (
     FScanRow,
     Lemma31Report,
     Lemma32Report,
+    _column,
+    _f_columns,
+    _f_scan_passes,
     _forms,
     _l,
     _scale_free_quad,
@@ -538,8 +543,10 @@ class TestFScan:
         assert all(row.all_positive for row in f_scan(10))
 
     def test_small_n_rejected(self):
+        size = _f_columns.cache_info().currsize
         with pytest.raises(ValueError):
             f_scan(3)
+        assert _f_columns.cache_info().currsize == size
 
     def test_rows_equal_direct_evaluation(self):
         for n in range(4, 401):
@@ -562,6 +569,36 @@ class TestFScan:
     def test_to_json_is_to_json_dict(self):
         for row in f_scan(7):
             assert to_json(row) == row.to_json_dict()
+
+    def test_every_call_returns_new_rows(self):
+        first, second = f_scan(9), f_scan(9)
+        assert first == second and first is not second
+        first[0] = None
+        first.pop()
+        assert f_scan(9) == second
+        assert all(type(row) is FScanRow for row in second)
+
+    def test_passes_agrees_with_the_rows(self):
+        for n in range(4, 401):
+            assert _f_scan_passes(n) == all(row.all_positive for row in f_scan(n))
+
+    def test_column_stays_exact_past_64_bits(self):
+        assert _column([3, -5]) == array("q", [3, -5])
+        wide = [1, 2**63, -(2**63) - 1]
+        assert list(_column(wide)) == wide
+
+    def test_rows_are_not_retained(self):
+        # the columns of n = 4..200 take about 0.7 MB; a cache of their
+        # rows would keep about 4.4 MB
+        _f_columns.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(4, 201):
+                f_scan(n)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
 
     @pytest.mark.parametrize("n", range(4, 31))
     def test_endpoint_identities(self, n):

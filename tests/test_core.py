@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import nonzero_rationals, points, rationals
+from conftest import nonzero_rationals, points, rationals, sigma_naive
 from symcert.core import (
     as_point,
     as_rational,
@@ -18,7 +18,6 @@ from symcert.core import (
     garding_membership,
     parse_point,
     sigma_all,
-    sigma_naive,
     to_json,
 )
 

@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # every name `from symcert import X` served while the package imported
 # all its modules eagerly
 PUBLIC_NAMES = """
-__version__ NAIVE_LIMIT SymProfile as_point as_rational as_triple binomial e_all
-garding_membership parse_point sigma_all sigma_naive to_json ChainResult EndpointWitness
+__version__ SymProfile as_point as_rational as_triple binomial e_all
+garding_membership parse_point sigma_all to_json ChainResult EndpointWitness
 EqualityCase GapReport PreconditionError Relation gen_maclaurin_chain gen_nm_gap
 linear_combo_gap liu_ren_gap maclaurin_chain_check newton_gap quantitative_gap
 remark_violation BinomQuad CertConstants FScanRow Lemma31Report Lemma32Report
