@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -52,16 +51,10 @@ def _check_general_range(n: int, k: int) -> None:
         raise ValueError(f"need n >= 4 and 1 <= k <= n-2, got (n, k) = ({n}, {k})")
 
 
-@dataclass(frozen=True)
-class BinomQuad:
+class BinomQuad(namedtuple("BinomQuad", "n k a b c d")):
     """Four consecutive binomials a = C(n,k-1) .. d = C(n,k+2)."""
 
-    n: int
-    k: int
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
 
 def binom_quad(n: int, k: int) -> BinomQuad:
@@ -73,17 +66,10 @@ def binom_quad(n: int, k: int) -> BinomQuad:
     return BinomQuad(n, k, a, b, c, c * (n - k - 1) // (k + 2))
 
 
-@dataclass(frozen=True)
-class CertConstants(JsonResult):
-    n: int
-    k: int
-    quad: BinomQuad
-    theta1: Fraction
-    theta2: Fraction
-    t: Fraction
-    A1: Fraction
-    A2: Fraction
-    A3: Fraction
+class CertConstants(namedtuple("CertConstants", "n k quad theta1 theta2 t A1 A2 A3"), JsonResult):
+    """The certificate constants of one window at its binomial quadruple."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         data = super().to_json_dict(quad="binomials")
@@ -148,16 +134,11 @@ def _forms(a, b, c, d) -> _Forms:
     return _Forms(bd, ac, mixed, den, b * bd, c * ac, theta2, A1, A2, A3, 36 * A1 * A2 - A3**2)
 
 
-@dataclass(frozen=True)
-class Lemma31Report(JsonResult):
+class Lemma31Report(namedtuple("Lemma31Report", "n k bd_term ac_term mixed_term"), JsonResult):
     """The three exact positivity quantities: 3bd - c^2, 3ac - b^2, and
     2ac^3 + 2b^3d - b^2c^2 - 3abcd."""
 
-    n: int
-    k: int
-    bd_term: int
-    ac_term: int
-    mixed_term: int
+    __slots__ = ()
 
     @property
     def all_positive(self) -> bool:
@@ -168,15 +149,10 @@ class Lemma31Report(JsonResult):
         return {**super().to_json_dict(**names), "pass": self.all_positive}
 
 
-@dataclass(frozen=True)
-class Lemma32Report(JsonResult):
+class Lemma32Report(namedtuple("Lemma32Report", "n k A1 A2 discriminant_combo"), JsonResult):
     """Positivity of A1, A2 and the discriminant combination A1 A2 - A3^2/36."""
 
-    n: int
-    k: int
-    A1: Fraction
-    A2: Fraction
-    discriminant_combo: Fraction
+    __slots__ = ()
 
     @property
     def all_positive(self) -> bool:
@@ -373,6 +349,7 @@ class FScanRow(namedtuple("FScanRow", "k f1 f2 f3 f4"), JsonResult):
         return self.f1 > 0 and self.f2 > 0 and self.f3 > 0 and self.f4 > 0
 
     def to_json_dict(self) -> dict:
+        # the fields are ints, their own JSON form: _asdict skips to_json per value
         return {**self._asdict(), "pass": self.all_positive}
 
 
@@ -437,17 +414,11 @@ def _f_scan_passes(n: int) -> bool:
     return all(min(column) > 0 for column in _f_columns(n))
 
 
-@dataclass(frozen=True)
-class WindowCheck(JsonResult):
+class WindowCheck(namedtuple("WindowCheck", "n k lemma31 lemma32 theta1 f_scan"), JsonResult):
     """Every certificate check of one window (n, k); the window passes
     when all of them hold."""
 
-    n: int
-    k: int
-    lemma31: bool
-    lemma32: bool
-    theta1: Fraction
-    f_scan: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

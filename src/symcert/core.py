@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -116,21 +116,22 @@ def to_json(value: object) -> object:
 
 
 class JsonResult:
-    """Base of the result dataclasses: to_json_dict() serializes the
-    fields in declaration order.  A subclass whose JSON keys are not its
-    field names renames them through the keyword arguments.
+    """Base of the result records: to_json_dict() serializes the fields
+    in declaration order.  A subclass whose JSON keys are not its field
+    names renames them through the keyword arguments.
 
-    A result may also be an immutable named tuple that overrides
-    to_json_dict(); to_json tests for JsonResult before tuple, so such a
-    result serializes as its dict, not as a list."""
+    Every record is an immutable named tuple with no instance dict,
+    declared as ``class X(namedtuple("X", "..."), JsonResult)`` with
+    ``__slots__ = ()``.  A record is therefore a tuple: it compares equal
+    to a plain tuple of the same values (and to a record of another class
+    with the same values), it is ordered and iterable, and it unpacks
+    into its fields.  to_json tests for JsonResult before tuple, so a
+    record serializes as its dict, not as a list."""
 
     __slots__ = ()
 
     def to_json_dict(self, **renames: str) -> dict:
-        return {
-            renames.get(field.name, field.name): to_json(getattr(self, field.name))
-            for field in fields(self)
-        }
+        return {renames.get(name, name): to_json(value) for name, value in zip(self._fields, self)}
 
 
 # The search exceptions live here, so the CLI can catch them without
@@ -158,12 +159,10 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class SymProfile:
+class SymProfile(namedtuple("SymProfile", "n sigma")):
     """All sigma_0..sigma_n of one point, with sigma_j = 0 off the ends."""
 
-    n: int
-    sigma: tuple[Fraction, ...]
+    __slots__ = ()
 
     def sigma_at(self, j: int) -> Fraction:
         if j < 0 or j > self.n:

@@ -11,8 +11,8 @@ violated preconditions raise :class:`PreconditionError` instead.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
@@ -43,13 +43,10 @@ class PreconditionError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class GapReport(JsonResult):
-    lhs: Fraction
-    rhs: Fraction
-    gap: Fraction
-    relation: Relation
-    equality_case: EqualityCase
+class GapReport(namedtuple("GapReport", "lhs rhs gap relation equality_case"), JsonResult):
+    """lhs - rhs = gap, its sign as a Relation, and the equality case."""
+
+    __slots__ = ()
 
     @classmethod
     def over(
@@ -172,20 +169,19 @@ def gen_nm_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRep
     return _two_term_gap(point, a, k)
 
 
-@dataclass(frozen=True)
-class ChainResult(JsonResult):
+class ChainResult(
+    namedtuple("ChainResult", "holds chain_top precondition_failed_at first_failure"), JsonResult
+):
     """Outcome of the generalized chain check.
 
     chain_top is the largest m such that alpha*E_j + E_{j+1} >= 0 for all
     j <= m; the cross-power comparisons are verified for every index up
     to chain_top.  first_failure would name the first broken comparison
-    (never expected when the preconditions hold).
+    (never expected when the preconditions hold); precondition_failed_at
+    is the first m whose term is negative, if any.
     """
 
-    holds: bool
-    chain_top: int
-    precondition_failed_at: int | None
-    first_failure: int | None
+    __slots__ = ()
 
 
 def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> ChainResult:
@@ -281,15 +277,11 @@ def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRe
     return GapReport.over(s * s, p * q, scale ** (2 * k))
 
 
-@dataclass(frozen=True)
-class EndpointWitness(JsonResult):
-    """Constant point and alpha with a negative two-term gap at k = 0 or
-    k = n-1, where the two-term inequality genuinely fails."""
+class EndpointWitness(namedtuple("EndpointWitness", "x alpha k report"), JsonResult):
+    """Constant point and alpha with a negative two-term gap (a GapReport)
+    at k = 0 or k = n-1, where the two-term inequality genuinely fails."""
 
-    x: tuple[Fraction, ...]
-    alpha: Fraction
-    k: int
-    report: GapReport
+    __slots__ = ()
 
 
 def remark_violation(n: int, k: int) -> EndpointWitness:

@@ -18,8 +18,8 @@ few as 9 of them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -50,18 +50,14 @@ class Branch(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class Cubic(JsonResult):
+class Cubic(namedtuple("Cubic", "c0 c1 c2 c3"), JsonResult):
     """Coefficients c0 t^3 + c1 t^2 + c2 t + c3 with
     (c0, c1, c2, c3) = (E_{k-1}, -3 E_k, 3 E_{k+1}, -E_{k+2})."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
+    __slots__ = ()
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.c0, self.c1, self.c2, self.c3)
+        return tuple(self)
 
     def as_poly(self) -> polys.Poly:
         # lowest power first, for the polynomial utilities
@@ -91,12 +87,9 @@ def cubic_discriminant(cubic: Cubic | Sequence[RationalLike]) -> Fraction:
 
     Nonnegative certifies all-real roots at degrees 2 and 3; degrees
     below 2 are vacuously real-rooted and report 1.  Coefficients are
-    highest power first when a plain sequence is given.
+    highest power first, as a Cubic holds them.
     """
-    if isinstance(cubic, Cubic):
-        coeffs = list(cubic.coefficients())
-    else:
-        coeffs = [as_rational(c) for c in cubic]
+    coeffs = [as_rational(c) for c in cubic]
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
     if not coeffs:
@@ -117,8 +110,7 @@ def cubic_discriminant(cubic: Cubic | Sequence[RationalLike]) -> Fraction:
     return Fraction(1)
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(namedtuple("CascadeResult", "n levels")):
     """Derivative cascade of the homogenized point polynomial.
 
     levels[l][j] holds the coefficients (highest power in t first, up to
@@ -127,8 +119,7 @@ class CascadeResult:
     dehomogenized at s = 1.  The final level contains the n-2 cubics.
     """
 
-    n: int
-    levels: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    __slots__ = ()
 
     @property
     def cubics(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -164,8 +155,14 @@ def derivative_cascade(x: Iterable[RationalLike]) -> CascadeResult:
     return CascadeResult(n, tuple(levels))
 
 
-@dataclass(frozen=True)
-class RootTriple(JsonResult):
+class RootTriple(
+    namedtuple(
+        "RootTriple",
+        "branch vieta_moments roots precision degenerate_means",
+        defaults=(None,),
+    ),
+    JsonResult,
+):
     """Roots and exact moments of the normalized associated cubic.
 
     vieta_moments are the exact (E_1, E_2, E_3) of the roots read off the
@@ -175,11 +172,7 @@ class RootTriple(JsonResult):
     degenerate_means stores the surviving pair (E_k, E_{k+1}) instead.
     """
 
-    branch: Branch
-    vieta_moments: tuple[Fraction, Fraction, Fraction] | None
-    roots: tuple[str, str, str] | None
-    precision: int
-    degenerate_means: tuple[Fraction, Fraction] | None = None
+    __slots__ = ()
 
 
 def reduce_to_three(x: Iterable[RationalLike], k: int) -> RootTriple:

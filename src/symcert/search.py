@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import theta_for
@@ -79,20 +79,15 @@ def _sample_entry(rng: random.Random, negative_rate: float = 0.35) -> Fraction:
     return _rationalize(magnitude)
 
 
-@dataclass(frozen=True)
-class Witness(JsonResult):
+class Witness(
+    namedtuple("Witness", "x coeffs alpha k gap context seed iteration"), JsonResult
+):
     """A confirmed finding.  The gap (or ratio) field is recomputed in
     exact arithmetic from the stored rational inputs before a witness is
-    ever emitted."""
+    ever emitted.  A combination witness has no alpha and k (None), a
+    theta-ratio witness no coeffs."""
 
-    x: tuple[Fraction, ...]
-    coeffs: tuple[Fraction, ...] | None
-    alpha: Fraction | None
-    k: int | None
-    gap: Fraction
-    context: str
-    seed: int
-    iteration: int
+    __slots__ = ()
 
 
 # -- hunting violations of the linear-combination conjecture --------------
@@ -203,15 +198,13 @@ def find_counterexample_15(m: int, n: int, seed: int, budget: int) -> Witness | 
 # -- bracketing the quantitative constant from above -----------------------
 
 
-@dataclass(frozen=True)
-class ThetaSummary(JsonResult):
-    n: int
-    k: int
-    samples: int
-    skipped: int
-    certified: Fraction
-    min_ratio: Fraction | None
-    argmin: Witness | None
+class ThetaSummary(
+    namedtuple("ThetaSummary", "n k samples skipped certified min_ratio argmin"), JsonResult
+):
+    """The smallest observed ratio over the samples, its Witness, and the
+    certified theta it must clear."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return super().to_json_dict(certified="certified_theta")
@@ -270,33 +263,27 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
 FAMILIES = ("one-hot", "two-adjacent", "alternating-signs", "all-ones")
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+DEFAULT_GRID = (Fraction(4), Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4))
+
+
+class ScanGrid(namedtuple("ScanGrid", "values", defaults=(DEFAULT_GRID,))):
     """Grid values for scan points (two-block patterns u..u v..v) and for
     the sliding coefficient in the two-adjacent family."""
 
-    values: tuple[Fraction, ...] = (
-        Fraction(4),
-        Fraction(2),
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 4),
-    )
+    __slots__ = ()
 
     @classmethod
     def of(cls, values: Iterable[RationalLike]) -> ScanGrid:
         return cls(tuple(as_rational(v) for v in values))
 
 
-@dataclass(frozen=True)
-class ScanReport(JsonResult):
-    family: str
-    n: int
-    evaluated: int
-    positive: int
-    zero: int
-    negative: int
-    witnesses: tuple[Witness, ...]
+class ScanReport(
+    namedtuple("ScanReport", "family n evaluated positive zero negative witnesses"), JsonResult
+):
+    """Sign counts of one family scan, with its first negative points as
+    Witness records (at most _WITNESS_CAP)."""
+
+    __slots__ = ()
 
 
 def _family_vectors(family: str, m: int, grid: ScanGrid) -> list[tuple[Fraction, ...]]:

@@ -2,7 +2,6 @@
 (random points and full coefficient matching), the positivity lemma
 scans, and the certified theta table."""
 
-import dataclasses
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -122,7 +121,7 @@ def reference_residual(z, alpha, consts):
 
 def perturbed(n, k, name, bump):
     exact = cert_constants(n, k)
-    return dataclasses.replace(exact, **{name: getattr(exact, name) + bump})
+    return exact._replace(**{name: getattr(exact, name) + bump})
 
 
 def record_of(consts):
@@ -309,7 +308,7 @@ class TestDecomposition:
     @pytest.mark.parametrize("name", ["theta1", "theta2", "t", "A1", "A2", "A3"])
     def test_perturbed_constant_is_caught(self, monkeypatch, name):
         exact = cert_constants(5, 2)
-        bumped = dataclasses.replace(exact, **{name: getattr(exact, name) + F(1, 10**6)})
+        bumped = exact._replace(**{name: getattr(exact, name) + F(1, 10**6)})
         monkeypatch.setattr("symcert.certificate._window", lambda n, k: record_of(bumped))
         assert decomposition_coefficient_match(5, 2) is False
         assert decomposition_residual((1, 2, 3), F(1, 3), 5, 2) != 0
@@ -471,7 +470,7 @@ class TestLemmaScans:
         ],
     )
     def test_window_check_fails_on_any_check(self, field, value):
-        check = dataclasses.replace(window_check(5, 2), **{field: value})
+        check = window_check(5, 2)._replace(**{field: value})
         assert check.passed is False
 
 

@@ -13,9 +13,16 @@ from pathlib import Path
 import pytest
 
 import symcert
-from symcert.certificate import cert_constants, f_scan, lemma31_check, lemma32_check
+from symcert.certificate import (
+    binom_quad,
+    cert_constants,
+    f_scan,
+    lemma31_check,
+    lemma32_check,
+    window_check,
+)
 from symcert.cli import run
-from symcert.core import to_json
+from symcert.core import JsonResult, sigma_all, to_json
 from symcert.gaps import (
     ChainResult,
     EndpointWitness,
@@ -25,7 +32,7 @@ from symcert.gaps import (
     linear_combo_gap,
     remark_violation,
 )
-from symcert.reduction import RootTriple, associated_cubic, reduce_to_three
+from symcert.reduction import RootTriple, associated_cubic, derivative_cascade, reduce_to_three
 from symcert.search import (
     ScanGrid,
     ScanReport,
@@ -151,6 +158,79 @@ def test_json_text_pinned(build, expected):
 def test_plain_results_use_the_shared_serializer(cls):
     # field names are the JSON keys, so the class keeps no body of its own
     assert "to_json_dict" not in vars(cls)
+
+
+# every result record: its class, a builder, its fields in declaration
+# order and the keys of its to_json_dict (None for a record with no JSON form)
+_GAP_FIELDS = "lhs rhs gap relation equality_case"
+_CHAIN_FIELDS = "holds chain_top precondition_failed_at first_failure"
+_ROOT_FIELDS = "branch vieta_moments roots precision degenerate_means"
+_WITNESS_FIELDS = "x coeffs alpha k gap context seed iteration"
+_SCAN_FIELDS = "family n evaluated positive zero negative witnesses"
+RECORDS = [
+    ("SymProfile", lambda: sigma_all((1, 2, 3)), "n sigma", None),
+    ("GapReport", JSON_PINS[0][1], _GAP_FIELDS, _GAP_FIELDS),
+    ("ChainResult", JSON_PINS[1][1], _CHAIN_FIELDS, _CHAIN_FIELDS),
+    ("EndpointWitness", JSON_PINS[2][1], "x alpha k report", "x alpha k report"),
+    ("BinomQuad", lambda: binom_quad(6, 2), "n k a b c d", None),
+    (
+        "CertConstants",
+        lambda: cert_constants(6, 2),
+        "n k quad theta1 theta2 t A1 A2 A3",
+        "n k binomials theta1 theta2 t A1 A2 A3",
+    ),
+    (
+        "Lemma31Report",
+        lambda: lemma31_check(6, 2),
+        "n k bd_term ac_term mixed_term",
+        "n k 3bd-c2 3ac-b2 2ac3+2b3d-b2c2-3abcd pass",
+    ),
+    (
+        "Lemma32Report",
+        lambda: lemma32_check(6, 2),
+        "n k A1 A2 discriminant_combo",
+        "n k A1 A2 A1A2-A3^2/36 pass",
+    ),
+    (
+        "WindowCheck",
+        lambda: window_check(6, 2),
+        "n k lemma31 lemma32 theta1 f_scan",
+        "n k lemma31 lemma32 theta1 f_scan pass",
+    ),
+    ("FScanRow", lambda: f_scan(6)[1], "k f1 f2 f3 f4", "k f1 f2 f3 f4 pass"),
+    ("Cubic", lambda: associated_cubic((1, 2, 3, 4), 1), "c0 c1 c2 c3", "coefficients"),
+    ("CascadeResult", lambda: derivative_cascade((1, 2, 3, 4)), "n levels", None),
+    ("RootTriple", JSON_PINS[3][1], _ROOT_FIELDS, _ROOT_FIELDS),
+    ("Witness", JSON_PINS[5][1], _WITNESS_FIELDS, _WITNESS_FIELDS),
+    (
+        "ThetaSummary",
+        lambda: empirical_theta(4, 1, 8, 0),
+        "n k samples skipped certified min_ratio argmin",
+        "n k samples skipped certified_theta min_ratio argmin",
+    ),
+    ("ScanGrid", ScanGrid, "values", None),
+    ("ScanReport", JSON_PINS[6][1], _SCAN_FIELDS, _SCAN_FIELDS),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, fields, keys", RECORDS, ids=[record[0] for record in RECORDS]
+)
+def test_record_is_an_immutable_slot_named_tuple(name, build, fields, keys):
+    record = build()
+    assert type(record).__name__ == name
+    assert record._fields == tuple(fields.split())
+    assert not hasattr(record, "__dict__")
+    for attribute in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    # a record is its tuple of values: equal to it, ordered and iterable
+    assert record == tuple(record) and record <= tuple(record)
+    assert record._replace() == record
+    if keys is None:
+        assert not isinstance(record, JsonResult)
+    else:
+        assert tuple(record.to_json_dict()) == tuple(keys.split())
 
 
 def test_to_json_value_forms():

@@ -80,6 +80,9 @@ def test_readme_command_imports(tmp_path, entry):
     allowed = ALLOWED_MODULES[entry["name"]]
     modules = _loaded_modules(entry["argv"], tmp_path)
     assert "typing" not in modules
+    # the result records are named tuples: no dataclasses, and with it no inspect
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
     assert {"symcert", "symcert.cli", "symcert.core"} <= modules
     ours = {name.split(".", 1)[1] for name in modules if name.startswith("symcert.")}
     if allowed is not None:
