@@ -353,12 +353,6 @@ class FScanRow(namedtuple("FScanRow", "k f1 f2 f3 f4"), JsonResult):
         return {**self._asdict(), "pass": self.all_positive}
 
 
-def _forward_differences(f, n: int) -> tuple[int, int, int, int]:
-    """f(n, 1) and its first three forward differences in k at k = 1."""
-    p1, p2, p3, p4 = (f(n, k) for k in range(1, 5))
-    return p1, p2 - p1, p3 - 2 * p2 + p1, p4 - 3 * p3 + 3 * p2 - p1
-
-
 def _column(values: list[int]) -> Sequence[int]:
     """values as a compact array('q'), or as a tuple of exact ints once
     one of them outgrows 64 bits (f4 peaks near n^3/4, past 2^63 from
@@ -374,27 +368,10 @@ def _column(values: list[int]) -> Sequence[int]:
 
 @lru_cache(maxsize=None)
 def _f_columns(n: int) -> tuple[Sequence[int], ...]:
-    """f1..f4 over k = 1..n-2, one column each, computed once per n.
-
-    Each f is seeded at k = 1..4 and stepped by its exact integer forward
-    differences: f1 and f4 are quadratic in k (their third difference is
-    0), f2 and f3 cubic (constant third difference)."""
+    """f1..f4 over k = 1..n-2, one column each, evaluated once per n."""
     if n < 4:
         raise ValueError(f"f_scan needs n >= 4, got {n}")
-    (v1, d1, e1, _), (v2, d2, e2, g2), (v3, d3, e3, g3), (v4, d4, e4, _) = (
-        _forward_differences(f, n) for f in (f1, f2, f3, f4)
-    )
-    c1, c2, c3, c4 = [], [], [], []
-    for _ in range(n - 2):
-        c1.append(v1)
-        c2.append(v2)
-        c3.append(v3)
-        c4.append(v4)
-        v1, d1 = v1 + d1, d1 + e1
-        v2, d2, e2 = v2 + d2, d2 + e2, e2 + g2
-        v3, d3, e3 = v3 + d3, d3 + e3, e3 + g3
-        v4, d4 = v4 + d4, d4 + e4
-    return tuple(map(_column, (c1, c2, c3, c4)))
+    return tuple(_column([f(n, k) for k in range(1, n - 1)]) for f in (f1, f2, f3, f4))
 
 
 # tuple.__new__ skips the named tuple's Python-level __new__ per row
@@ -458,3 +435,10 @@ def theta_for(n: int, k: int) -> Fraction:
     if is_special_window(n, k):
         return Fraction(1, 2)
     return _theta1(*_scale_free_quad(n, k))
+
+
+def theta_row(n: int, k: int) -> dict:
+    """The theta command's payload and one row of the report: theta_for
+    and whether it is the special case or the certificate's theta1."""
+    source = "special-case" if is_special_window(n, k) else "certificate"
+    return {"n": n, "k": k, "theta": theta_for(n, k), "source": source}

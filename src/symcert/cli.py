@@ -205,7 +205,8 @@ def _load_config_file(path: str | None) -> dict:
 
 def _effective_config(args: argparse.Namespace) -> None:
     """Resolve the config keys onto args (flags beat the config file,
-    which beats _DEFAULTS) and parse the exact numeric inputs in place."""
+    which beats _DEFAULTS) and parse the exact numeric inputs in place;
+    a parse error names its flag."""
     file_values = _load_config_file(getattr(args, "config", None))
     for key, default in _DEFAULTS.items():
         value = getattr(args, key, None)
@@ -217,10 +218,20 @@ def _effective_config(args: argparse.Namespace) -> None:
         setattr(args, key, str(value) if key == "format" else int(value))
     if args.format not in ("json", "text"):
         raise ValueError(f"format must be json or text, got {args.format!r}")
-    parsers = {"x": parse_point, "coeffs": parse_point, "alpha": as_rational, "theta": as_rational}
+    parsers = {
+        "x": parse_point,
+        "coeffs": parse_point,
+        "grid": parse_point,
+        "alpha": as_rational,
+        "theta": as_rational,
+    }
     for key, parse in parsers.items():
-        if getattr(args, key, None) is not None:
-            setattr(args, key, parse(getattr(args, key)))
+        text = getattr(args, key, None)
+        if text is not None:
+            try:
+                setattr(args, key, parse(text))
+            except ValueError as exc:
+                raise ValueError(f"--{key}: {exc}") from None
 
 
 def _emit(payload: object, fmt: str) -> None:
@@ -366,15 +377,9 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_theta(args: argparse.Namespace) -> tuple[object, bool]:
-    from .certificate import is_special_window, theta_for
+    from .certificate import theta_row
 
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "theta": theta_for(args.n, args.k),
-        "source": "special-case" if is_special_window(args.n, args.k) else "certificate",
-    }
-    return payload, False
+    return theta_row(args.n, args.k), False
 
 
 def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[object, bool]:
@@ -400,7 +405,7 @@ def _cmd_search_theta(args: argparse.Namespace) -> tuple[object, bool]:
 def _cmd_search_scan(args: argparse.Namespace) -> tuple[object, bool]:
     from .search import ScanGrid, structured_scan
 
-    grid = ScanGrid() if args.grid is None else ScanGrid.of(parse_point(args.grid))
+    grid = ScanGrid() if args.grid is None else ScanGrid.of(args.grid)
     report = structured_scan(args.family, args.n, grid)
     return report, report.negative > 0
 

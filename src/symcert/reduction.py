@@ -392,7 +392,7 @@ def _tighten_root(p0: polys.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
     return r if polished is None else polished
 
 
-def _decimal_str(value: Fraction, digits: int = ROOT_DIGITS) -> str:
+def _decimal_str(value: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = ROOT_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))

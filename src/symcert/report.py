@@ -10,8 +10,8 @@ from . import __version__
 from .certificate import (
     cert_constants,
     decomposition_residual,
-    is_special_window,
     theta_for,
+    theta_row,
     window_check,
 )
 from .core import to_json
@@ -31,17 +31,7 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     if samples < 1:
         raise ValueError(f"report needs samples >= 1, got {samples}")
 
-    theta_rows = []
-    for n in range(3, n_max + 1):
-        for k in range(n):
-            theta_rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "theta": theta_for(n, k),
-                    "source": "special-case" if is_special_window(n, k) else "certificate",
-                }
-            )
+    theta_rows = [theta_row(n, k) for n in range(3, n_max + 1) for k in range(n)]
 
     certificate_rows = []
     lemmas_pass = True

@@ -38,6 +38,7 @@ from .gaps import _integer_window, _window, linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
+_REFINE_STEPS = 60
 _WITNESS_CAP = 10
 
 
@@ -140,7 +141,6 @@ def _refine_point(
     rng: random.Random,
     point: tuple[Fraction, ...],
     coeffs: tuple[Fraction, ...],
-    steps: int = 60,
 ) -> tuple[Fraction, ...]:
     """Greedy coordinate perturbation on the float estimate; the caller
     re-verifies whatever comes back.  The current point is always the
@@ -149,7 +149,7 @@ def _refine_point(
     current = [float(v) for v in point]
     rational = [_rationalize(v) for v in current]
     best_gap = _float_combo_gap(rational, coeffs)
-    for _ in range(steps):
+    for _ in range(_REFINE_STEPS):
         idx = rng.randrange(len(current))
         saved = current[idx], rational[idx]
         current[idx] = saved[0] * math.exp(rng.gauss(0.0, 0.3))

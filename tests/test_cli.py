@@ -528,7 +528,7 @@ class TestErrorPaths:
         assert time.perf_counter() - start < 2
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr == "error: decimal exponent in '1e1000000000' exceeds 4300 in magnitude\n"
+        assert done.stderr == "error: --x: decimal exponent in '1e1000000000' exceeds 4300 in magnitude\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -542,7 +542,36 @@ class TestErrorPaths:
     def test_deeply_nested_literal_rejected(self, capsys, argv):
         code, out, err = invoke(capsys, *argv, "[" * 5000)
         assert (code, out) == (2, "")
-        assert err == "error: tuple literal is nested too deeply\n"
+        assert err == f"error: {argv[-1]}: tuple literal is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("sigma", "--x", "[]"), "a point needs at least one entry"),
+            (
+                ("verify", "--ineq", "combo", "--x", '["1"]', "--coeffs", "[]"),
+                "a point needs at least one entry",
+            ),
+            (
+                ("search", "scan", "--family", "two-adjacent", "--n", "2", "--grid", "[]"),
+                "a point needs at least one entry",
+            ),
+            (
+                ("verify", "--ineq", "gen-nm", "--x", '["1","2","3"]', "--k", "1", "--alpha", "1/0"),
+                "cannot parse '1/0' as an exact rational",
+            ),
+            (
+                ("verify", "--ineq", "quantitative", "--x", '["1","2","3"]', "--k", "1")
+                + ("--alpha", "1", "--theta", "1/0"),
+                "cannot parse '1/0' as an exact rational",
+            ),
+        ],
+        ids=["x", "coeffs", "grid", "alpha", "theta"],
+    )
+    def test_parse_error_names_its_flag(self, capsys, argv, reason):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[-2]}: {reason}\n"
 
     def test_float_entry_rejected(self, capsys):
         code, _, err = invoke(capsys, "sigma", "--x", "[0.1]")
