@@ -21,6 +21,7 @@ from collections.abc import Sequence
 
 from . import __version__
 from .core import (
+    MAX_INT_DIGITS,
     AllSamplesDegenerate,
     CertificateViolation,
     as_rational,
@@ -31,10 +32,9 @@ from .core import (
 
 _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "json"}
 
-# Python's default limit on int string digits, past which no binomial of
-# a certificate can print; the margin keeps an estimate's rounding from
-# refusing a printable window (those stop near 2,150 digits).
-_PRINTABLE_DIGITS = 4300
+# past core.MAX_INT_DIGITS no binomial of a certificate can print; the
+# margin keeps an estimate's rounding from refusing a printable window
+# (those stop near 2,150 digits)
 _DIGIT_MARGIN = 100
 
 # Flags whose value is a rational.  argparse takes a separate value such
@@ -72,6 +72,10 @@ def run(argv: Sequence[str]) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # str(MemoryError()) is empty, so the line names the error itself
+        print("error: out of memory", file=sys.stderr)
         return 2
     return 1 if finding else 0
 
@@ -220,8 +224,8 @@ def _effective_config(args: argparse.Namespace) -> None:
         raise ValueError(f"format must be json or text, got {args.format!r}")
     parsers = {
         "x": parse_point,
-        "coeffs": parse_point,
-        "grid": parse_point,
+        "coeffs": lambda text: parse_point(text, "a coefficient list"),
+        "grid": lambda text: parse_point(text, "a grid"),
         "alpha": as_rational,
         "theta": as_rational,
     }
@@ -342,10 +346,10 @@ def _cmd_certificate(args: argparse.Namespace) -> tuple[object, bool]:
     if n >= 4 and 1 <= k <= n - 2:
         # C(n, j) peaks at j = n/2: check the printed binomial nearest it
         j = min(range(k - 1, k + 3), key=lambda j: abs(n - 2 * j))
-        if _binomial_digits_exceed(n, j, _PRINTABLE_DIGITS + _DIGIT_MARGIN):
+        if _binomial_digits_exceed(n, j, MAX_INT_DIGITS + _DIGIT_MARGIN):
             raise ValueError(
                 f"the binomials of certificate ({n}, {k}) have more than "
-                f"{_PRINTABLE_DIGITS} digits and cannot be printed"
+                f"{MAX_INT_DIGITS} digits and cannot be printed"
             )
     return cert_constants(n, k), False
 

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 RationalLike = Fraction | int | str
 
-# Fraction("1e<e>") builds 10**|e| exactly, which takes seconds once |e|
-# reaches the millions, so decimal exponents past this bound are refused
-# before parsing.  The bound is Python's default limit on int string digits.
-MAX_DECIMAL_EXPONENT = 4300
+# Python's default limit on int string digits: nothing longer prints, and
+# a decimal exponent past it is refused before parsing, as Fraction("1e<e>")
+# builds 10**|e| exactly (seconds once |e| reaches the millions).
+MAX_INT_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
 
@@ -42,9 +42,9 @@ def as_rational(value: RationalLike) -> Fraction:
         if exponent is not None:
             digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
             # lengths first, so a huge digit string is never converted
-            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT:
+            if len(digits) > len(str(MAX_INT_DIGITS)) or int(digits) > MAX_INT_DIGITS:
                 raise ValueError(
-                    f"decimal exponent in {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                    f"decimal exponent in {value!r} exceeds {MAX_INT_DIGITS} in magnitude"
                 )
         try:
             return Fraction(text)
@@ -53,11 +53,11 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def as_point(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Normalize an iterable of rational-likes to an exact point tuple."""
+def as_point(entries: Iterable[RationalLike], noun: str = "a point") -> tuple[Fraction, ...]:
+    """Normalize rational-likes to an exact tuple, which noun names if empty."""
     point = tuple(as_rational(v) for v in entries)
     if not point:
-        raise ValueError("a point needs at least one entry")
+        raise ValueError(f"{noun} needs at least one entry")
     return point
 
 
@@ -68,11 +68,12 @@ def as_triple(entries: Iterable[RationalLike]) -> tuple[Fraction, Fraction, Frac
     return point  # type: ignore[return-value]
 
 
-def parse_point(text: str) -> tuple[Fraction, ...]:
+def parse_point(text: str, noun: str = "a point") -> tuple[Fraction, ...]:
     """Parse the tuple literal format: a JSON array of strings.
 
     Example: ["4", "4", "1/4", "0.25"].  Integer JSON numbers are also
-    accepted; floats are rejected because they do not round-trip.
+    accepted; floats are rejected because they do not round-trip.  noun
+    names the tuple in the error for an empty array.
     """
     try:
         data = json.loads(text)
@@ -89,7 +90,7 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
         if not isinstance(item, (str, int)):
             raise ValueError(f"bad tuple entry {item!r}")
         entries.append(as_rational(item))
-    return as_point(entries)
+    return as_point(entries, noun)
 
 
 def to_json(value: object) -> object:

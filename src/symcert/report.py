@@ -26,8 +26,9 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     configuration and seeds are embedded so the claim is checkable.  The
     document comes back in its JSON form, ready for json.dump.
     """
-    if n_max < 3:
-        raise ValueError(f"report needs n_max >= 3, got {n_max}")
+    if n_max < 4:
+        # the windows start at n = 4: a smaller bound would pass with nothing checked
+        raise ValueError(f"report needs n_max >= 4, got {n_max}")
     if samples < 1:
         raise ValueError(f"report needs samples >= 1, got {samples}")
 
@@ -60,7 +61,7 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     gen_nm_nonneg = 0
     gen_nm_zero = 0
     for _ in range(samples):
-        n = randint(3, max(3, min(n_max, 8)))
+        n = randint(3, min(n_max, 8))
         point = tuple(rand_fraction() for _ in range(n))
         k = randint(1, n - 2)
         gap = gen_nm_gap(point, rand_fraction(), k).gap
@@ -71,7 +72,7 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
 
     quantitative_nonneg = 0
     for _ in range(samples):
-        n = randint(3, max(3, min(n_max, 8)))
+        n = randint(3, min(n_max, 8))
         point = tuple(rand_fraction() for _ in range(n))
         k = randint(0, n - 1)
         report = quantitative_gap(point, rand_fraction(), k, theta_for(n, k))
@@ -79,20 +80,19 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
             quantitative_nonneg += 1
 
     residual_zero = 0
-    if n_max >= 4:
-        for _ in range(samples):
-            n = randint(4, n_max)
-            k = randint(1, n - 2)
-            z = tuple(rand_fraction() for _ in range(3))
-            if decomposition_residual(z, rand_fraction(), n, k) == 0:
-                residual_zero += 1
+    for _ in range(samples):
+        n = randint(4, n_max)
+        k = randint(1, n - 2)
+        z = tuple(rand_fraction() for _ in range(3))
+        if decomposition_residual(z, rand_fraction(), n, k) == 0:
+            residual_zero += 1
 
     checks = {
         "lemmas_pass": lemmas_pass,
         "gen_nm_nonnegative": gen_nm_nonneg == samples,
         "gen_nm_zero_gaps": gen_nm_zero,
         "quantitative_nonnegative": quantitative_nonneg == samples,
-        "decomposition_all_zero": (n_max < 4) or residual_zero == samples,
+        "decomposition_all_zero": residual_zero == samples,
     }
     checks["all_pass"] = bool(
         checks["lemmas_pass"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .certificate import theta_for
@@ -221,8 +221,6 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if n < 3 or not 0 <= k <= n - 1:
-        raise ValueError(f"need n >= 3 and 0 <= k <= n-1, got ({n}, {k})")
     certified = theta_for(n, k)
     skipped = 0
     min_ratio: Fraction | None = None
@@ -286,42 +284,38 @@ class ScanReport(
     __slots__ = ()
 
 
-def _family_vectors(family: str, m: int, grid: ScanGrid) -> list[tuple[Fraction, ...]]:
+def _family_vectors(family: str, m: int, grid: ScanGrid) -> Iterator[tuple[Fraction, ...]]:
+    """One family's coefficient vectors, streamed in scan order."""
     if family == "one-hot":
-        return [
-            tuple(Fraction(1) if i == j else Fraction(0) for i in range(m)) for j in range(m)
-        ]
-    if family == "all-ones":
-        return [tuple(Fraction(1) for _ in range(m))]
-    if family == "alternating-signs":
+        for j in range(m):
+            yield tuple(Fraction(1) if i == j else Fraction(0) for i in range(m))
+    elif family == "all-ones":
+        yield (Fraction(1),) * m
+    elif family == "alternating-signs":
         # support on every other slot, all sign choices on the support
-        support = [j for j in range(m) if j % 2 == 0]
-        vectors = []
+        support = range(0, m, 2)
         for mask in range(2 ** len(support)):
             vec = [Fraction(0)] * m
             for bit, j in enumerate(support):
                 vec[j] = Fraction(1) if (mask >> bit) & 1 == 0 else Fraction(-1)
-            vectors.append(tuple(vec))
-        return vectors
-    if family == "two-adjacent":
-        vectors = []
+            yield tuple(vec)
+    elif family == "two-adjacent":
         for j in range(m - 1):
             for a in grid.values:
                 vec = [Fraction(0)] * m
                 vec[j] = a
                 vec[j + 1] = Fraction(1)
-                vectors.append(tuple(vec))
-        return vectors
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+                yield tuple(vec)
+    else:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
-def _grid_points(length: int, grid: ScanGrid) -> list[tuple[Fraction, ...]]:
-    points = []
+def _grid_points(length: int, grid: ScanGrid) -> Iterator[tuple[Fraction, ...]]:
+    """The two-block points u..u v..v of one length, one at a time."""
     for u in grid.values:
         for v in grid.values:
             for p in range(1, length):
-                points.append((u,) * p + (v,) * (length - p))
-    return points
+                yield (u,) * p + (v,) * (length - p)
 
 
 def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanReport:
@@ -335,9 +329,8 @@ def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanRe
     positive = zero = negative = 0
     witnesses: list[Witness] = []
     evaluated = 0
-    points = _grid_points(n + 1, grid)
     for coeffs in _family_vectors(family, n, grid):
-        for point in points:
+        for point in _grid_points(n + 1, grid):
             # linear_combo_gap's window: n weights on n + 1 entries need no trim
             (low, mid, high), *_ = _integer_window(point, coeffs, 0, 3, True)
             lhs, rhs = mid * mid, low * high

@@ -64,3 +64,45 @@ def sigma_naive(x) -> SymProfile:
         total = sum(math.prod(c) for c in combinations(ints, k))
         sig.append(Fraction(total, scale**k))
     return SymProfile(n, tuple(sig))
+
+
+def scan_family_vectors(family, m, grid):
+    """The scan's coefficient vectors as a list, in scan order: a copy of
+    the eager enumerator that search._family_vectors streams, so the scan
+    references do not read the code they check."""
+    if family == "one-hot":
+        return [
+            tuple(Fraction(1) if i == j else Fraction(0) for i in range(m)) for j in range(m)
+        ]
+    if family == "all-ones":
+        return [tuple(Fraction(1) for _ in range(m))]
+    if family == "alternating-signs":
+        support = [j for j in range(m) if j % 2 == 0]
+        vectors = []
+        for mask in range(2 ** len(support)):
+            vec = [Fraction(0)] * m
+            for bit, j in enumerate(support):
+                vec[j] = Fraction(1) if (mask >> bit) & 1 == 0 else Fraction(-1)
+            vectors.append(tuple(vec))
+        return vectors
+    if family == "two-adjacent":
+        vectors = []
+        for j in range(m - 1):
+            for a in grid.values:
+                vec = [Fraction(0)] * m
+                vec[j] = a
+                vec[j + 1] = Fraction(1)
+                vectors.append(tuple(vec))
+        return vectors
+    raise ValueError(f"unknown family {family!r}")
+
+
+def scan_grid_points(length, grid):
+    """The scan's two-block points u..u v..v as a list, in scan order: a
+    copy of the eager enumerator that search._grid_points streams."""
+    points = []
+    for u in grid.values:
+        for v in grid.values:
+            for p in range(1, length):
+                points.append((u,) * p + (v,) * (length - p))
+    return points

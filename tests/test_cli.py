@@ -391,10 +391,12 @@ class TestReport:
         assert thetas[(3, 1)] == "1/2"
         assert thetas[(4, 1)] == "5/11"
 
-    def test_minimal_n_max_has_only_special_cases(self, capsys):
-        _, data, _ = invoke_json(capsys, "report", "--n-max", "3", "--samples", "10")
-        assert data["certificates"] == []
-        assert all(row["source"] == "special-case" for row in data["theta"])
+    def test_report_without_windows_rejected(self, capsys):
+        # below n = 4 no window and no residual is checked, so nothing could pass
+        for n_max in ("3", "2", "-1"):
+            code, out, err = invoke(capsys, "report", "--n-max", n_max, "--samples", "10")
+            assert (code, out) == (2, "")
+            assert err == f"error: report needs n_max >= 4, got {n_max}\n"
 
     def test_no_samples_rejected(self, capsys):
         for samples in ("0", "-3"):
@@ -550,11 +552,11 @@ class TestErrorPaths:
             (("sigma", "--x", "[]"), "a point needs at least one entry"),
             (
                 ("verify", "--ineq", "combo", "--x", '["1"]', "--coeffs", "[]"),
-                "a point needs at least one entry",
+                "a coefficient list needs at least one entry",
             ),
             (
                 ("search", "scan", "--family", "two-adjacent", "--n", "2", "--grid", "[]"),
-                "a point needs at least one entry",
+                "a grid needs at least one entry",
             ),
             (
                 ("verify", "--ineq", "gen-nm", "--x", '["1","2","3"]', "--k", "1", "--alpha", "1/0"),
@@ -600,6 +602,14 @@ class TestErrorPaths:
         assert err.startswith("error: all 5 samples had a vanishing denominator")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("symcert.search.structured_scan", exhausted)
+        code, out, err = invoke(capsys, "search", "scan", "--family", "one-hot", "--n", "3")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0

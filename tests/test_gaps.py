@@ -7,7 +7,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import nonneg_points, nonneg_rationals, nonzero_rationals, points, rationals
+from conftest import (
+    nonneg_points,
+    nonneg_rationals,
+    nonzero_rationals,
+    points,
+    rationals,
+    scan_family_vectors,
+    scan_grid_points,
+)
 from symcert.certificate import theta_for
 from symcert.core import sigma_all
 from symcert.search import (
@@ -15,8 +23,6 @@ from symcert.search import (
     ScanGrid,
     ThetaSummary,
     Witness,
-    _family_vectors,
-    _grid_points,
     _rng_for,
     _sample_entry,
     empirical_theta,
@@ -603,14 +609,23 @@ class TestComboFractionReference:
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize(
-        "n, grid", [(1, None), (3, None), (4, ScanGrid.of(["3", "1", "0", "-1/2", "5/999983"]))]
+        "n, grid",
+        [
+            (1, None),
+            (3, None),
+            (4, ScanGrid.of(["3", "1", "0", "-1/2", "5/999983"])),
+            (2, None),
+            (5, None),
+            (6, None),
+        ],
     )
     def test_structured_scan(self, family, n, grid):
         report = structured_scan(family, n, grid)
         grid = grid or ScanGrid()
         counts = {Relation.STRICTLY_POSITIVE: 0, Relation.ZERO: 0, Relation.NEGATIVE: 0}
-        for coeffs in _family_vectors(family, n, grid):
-            for point in _grid_points(n + 1, grid):
+        points = scan_grid_points(n + 1, grid)
+        for coeffs in scan_family_vectors(family, n, grid):
+            for point in points:
                 counts[ref_linear_combo_gap(point, coeffs).relation] += 1
         assert (report.positive, report.zero, report.negative) == tuple(counts.values())
         assert report.evaluated == sum(counts.values())

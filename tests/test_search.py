@@ -6,12 +6,14 @@ kernels (stdlib rationalizer, float(E_j) means, one exact gap per point
 and coefficient vector); the integer kernels must match them exactly."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from conftest import scan_family_vectors, scan_grid_points
 from symcert import search
 from symcert.certificate import theta_for
 from symcert.core import sigma_all
@@ -148,8 +150,9 @@ def reference_structured_scan(family, n, grid=None):
     counts = {"positive": 0, "zero": 0, "negative": 0}
     witnesses = []
     evaluated = 0
-    for coeffs in search._family_vectors(family, n, grid):
-        for point in search._grid_points(n + 1, grid):
+    points = scan_grid_points(n + 1, grid)
+    for coeffs in scan_family_vectors(family, n, grid):
+        for point in points:
             gap = reference_combo_gap(point, coeffs)
             if gap > 0:
                 counts["positive"] += 1
@@ -234,7 +237,10 @@ class TestMatchesFractionReference:
         )
 
     @pytest.mark.parametrize("family", search.FAMILIES)
-    @pytest.mark.parametrize("n, grid", [(3, None), (4, ScanGrid.of(["3", "1", "-1/2"]))])
+    @pytest.mark.parametrize(
+        "n, grid",
+        [(3, None), (4, ScanGrid.of(["3", "1", "-1/2"])), (1, None), (2, None), (5, None), (6, None)],
+    )
     def test_structured_scan(self, family, n, grid):
         assert _json(structured_scan(family, n, grid)) == _json(
             reference_structured_scan(family, n, grid)
@@ -383,3 +389,25 @@ class TestStructuredScan:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             structured_scan("mystery", 3)
+
+
+def _peak_bytes_to_first(enumerator, *args):
+    """Peak bytes allocated while enumerator(*args) is called and its
+    first item read."""
+    tracemalloc.start()
+    try:
+        next(iter(enumerator(*args)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanStreams:
+    # a list of all of them holds 8.29 MB (5,000 points of 201 entries)
+    # or 3.54 MB (4,096 vectors of 24 entries) before the first is read
+    def test_first_grid_point_before_the_rest(self):
+        assert _peak_bytes_to_first(search._grid_points, 201, ScanGrid()) < 256 * 1024
+
+    def test_first_family_vector_before_the_rest(self):
+        peak = _peak_bytes_to_first(search._family_vectors, "alternating-signs", 24, ScanGrid())
+        assert peak < 256 * 1024
