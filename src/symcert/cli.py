@@ -37,6 +37,12 @@ _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "
 # (those stop near 2,150 digits)
 _DIGIT_MARGIN = 100
 
+# The most work lemmas and report take on, counted from the parsed argv
+# before any starts: one unit per window (n, k) with 4 <= n <= n_max and
+# 1 <= k <= n-2, and for report one per sample.  At its cap each command
+# runs a few seconds in a few hundred MB; README states both caps.
+MAX_WORK = {"lemmas": 100_000, "report": 50_000}
+
 # Flags whose value is a rational.  argparse takes a separate value such
 # as -1/2 or -1e3 for an option, since only -2 and -0.5 match its
 # negative-number pattern; a token starting with "-" and a digit or "."
@@ -354,10 +360,33 @@ def _cmd_certificate(args: argparse.Namespace) -> tuple[object, bool]:
     return cert_constants(n, k), False
 
 
+def _windows(n_max: int) -> int:
+    """How many windows (n, k) have 4 <= n <= n_max and 1 <= k <= n-2:
+    n-2 for each n, about n_max^2/2 in all."""
+    return (n_max - 2) * (n_max - 1) // 2 - 1 if n_max >= 4 else 0
+
+
+def _check_work(command: str, n_max: int, samples: int = 0) -> None:
+    """Refuse an argv whose work exceeds the command's cap in MAX_WORK,
+    naming --n-max when its windows alone do and --samples otherwise."""
+    cap = MAX_WORK[command]
+    windows = _windows(n_max)
+    if windows > cap:
+        raise ValueError(
+            f"--n-max: {command} would check {windows} windows, above its cap of {cap}"
+        )
+    if windows + samples > cap:
+        raise ValueError(
+            f"--samples: {command} would check {windows} windows and {samples} samples, "
+            f"above its cap of {cap} in all"
+        )
+
+
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[object, bool]:
     if args.n_max < 4:
         # the lemmas start at n = 4: a smaller bound would pass with nothing checked
         raise ValueError(f"lemmas needs n_max >= 4, got {args.n_max}")
+    _check_work("lemmas", args.n_max)
     from .certificate import window_check
 
     checks = [window_check(n, k) for n in range(4, args.n_max + 1) for k in range(1, n - 1)]
@@ -415,6 +444,7 @@ def _cmd_search_scan(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[object, bool]:
+    _check_work("report", args.n_max, args.samples)
     from .report import report_bundle
 
     document = report_bundle(args.n_max, args.seed, args.samples)

@@ -93,6 +93,9 @@ def parse_point(text: str, noun: str = "a point") -> tuple[Fraction, ...]:
     return as_point(entries, noun)
 
 
+_JSON_SCALARS = frozenset((int, str, bool, type(None)))
+
+
 def to_json(value: object) -> object:
     """The JSON form of a value: a Fraction prints as its lossless "p/q"
     string (re-parsed exactly by as_rational), an Enum as its value, a
@@ -103,6 +106,13 @@ def to_json(value: object) -> object:
     raises ValueError here, as json.dumps does for such an int; the CLI
     reports either and exits 2.
     """
+    # exact types first: an isinstance test against Fraction, a
+    # numbers.Rational, runs the ABC machinery for every other value
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind in _JSON_SCALARS:
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Enum):

@@ -82,20 +82,34 @@ def _integer_window(
     of the means, on integers: returns (T, w, D, C, S).
 
     The point and every weight but the last go over one denominator D,
-    and W is the last weight's denominator; of m weights, weight r
-    becomes w_r = W*a_r*D^(m-1-r), and S_j = sigma_j*D^j.  The sigmas
-    feed S_j with L = 1; the means feed S_j*(L // C(n, j)), with L the
-    lcm of the C(n, j) the window reads.  The term at i is
-    T[i - lo] / (C*D^(i+m-1)) with C = W*L, so the window at j has s^2
-    and p*q both over (C*D^(j+m-1))^2.  For (alpha, 1), W = 1 and the
-    weights are (alpha*D, 1).
+    the lcm of their denominators, and _cleared_window runs on the
+    integer numerators.
     """
-    n, m = len(point), len(weights)
+    m = len(weights)
     *head, last = weights
     scale, ints = over_common_denominator((*head, *point))
-    sig = _sigma_numerators(ints[m - 1 :])
+    return _cleared_window(scale, ints[: m - 1], ints[m - 1 :], last, lo, hi, means)
+
+
+def _cleared_window(
+    scale: int, head: list[int], xs: list[int], last: Fraction | int, lo: int, hi: int, means: bool
+) -> tuple[list[int], list[int], int, int, list[int]]:
+    """The integer core of _integer_window: head holds the m - 1 weights
+    before the last and xs the point, each times one denominator D =
+    scale, and last is the last weight.  D may be any positive common
+    denominator, since each term scales by a positive power of it.
+
+    W is the last weight's denominator; of m weights, weight r becomes
+    w_r = W*a_r*D^(m-1-r), and S_j = sigma_j*D^j.  The sigmas feed S_j
+    with L = 1; the means feed S_j*(L // C(n, j)), with L the lcm of the
+    C(n, j) the window reads.  The term at i is T[i - lo] / (C*D^(i+m-1))
+    with C = W*L, so the window at j has s^2 and p*q both over
+    (C*D^(j+m-1))^2.  For (alpha, 1), W = 1 and the weights are (alpha*D, 1).
+    """
+    n, m = len(xs), len(head) + 1
+    sig = _sigma_numerators(xs)
     top = last.denominator
-    w = [top * a * scale ** (m - 2 - r) for r, a in enumerate(ints[: m - 1])] + [last.numerator]
+    w = [top * a * scale ** (m - 2 - r) for r, a in enumerate(head)] + [last.numerator]
     common, u = 1, sig
     if means:
         picks = range(max(lo, 0), min(hi + m - 2, n) + 1)
@@ -103,6 +117,15 @@ def _integer_window(
         u = [s * (common // comb(n, j)) if j in picks else 0 for j, s in enumerate(sig)]
     terms = _window(lambda j: u[j] if 0 <= j <= n else 0, w, lo, hi)
     return terms, w, scale, top * common, sig
+
+
+def _gap_sides(terms: Sequence[int], t_num: int = 0, t_den: int = 1) -> tuple[int, int]:
+    """The two sides t_den*(1 - theta)*s^2 and t_den*p*q of a gap over the
+    window terms (p, s, q), with theta = t_num/t_den: every gap here is
+    their difference over a positive denominator.  theta = 0 gives s^2
+    and p*q."""
+    p, s, q = terms
+    return (t_den - t_num) * s * s, t_den * p * q
 
 
 def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapReport:
@@ -113,7 +136,7 @@ def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapRe
     denominators never need dividing: s = -alpha*p and q = -alpha*s.
     """
     (p, s, q), (w0, w1), scale, common, _ = _integer_window(point, (alpha, 1), j - 1, j + 2, True)
-    lhs, rhs = s * s, p * q
+    lhs, rhs = _gap_sides((p, s, q))
     if lhs != rhs:
         case = EqualityCase.STRICT
     elif all(v == point[0] for v in point):
@@ -228,8 +251,8 @@ def linear_combo_gap(
         raise PreconditionError("need at least one coefficient")
     # a weight past slot n+1 reads only means past n, which are zero
     weights = weights[: len(point) + 1]
-    (p, s, q), _, scale, common, _ = _integer_window(point, weights, 0, 3, True)
-    return GapReport.over(s * s, p * q, (common * scale ** len(weights)) ** 2)
+    terms, _, scale, common, _ = _integer_window(point, weights, 0, 3, True)
+    return GapReport.over(*_gap_sides(terms), (common * scale ** len(weights)) ** 2)
 
 
 def quantitative_gap(
@@ -252,10 +275,10 @@ def quantitative_gap(
         raise PreconditionError(f"quantitative_gap needs 0 <= k <= n-1, got k={k}, n={n}")
     if not 0 < th < 1:
         raise PreconditionError(f"theta must lie in (0, 1), got {th}")
-    (p, s, q), _, scale, _, _ = _integer_window(point, (a, 1), k - 1, k + 2, False)
+    terms, _, scale, _, _ = _integer_window(point, (a, 1), k - 1, k + 2, False)
     # (1 - theta) s^2 - p q over t_den (D^(k+1))^2, with theta = t_num / t_den
     t_num, t_den = th.as_integer_ratio()
-    return GapReport.over((t_den - t_num) * s * s, t_den * p * q, t_den * scale ** (2 * k + 2))
+    return GapReport.over(*_gap_sides(terms, t_num, t_den), t_den * scale ** (2 * k + 2))
 
 
 def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapReport:
@@ -271,10 +294,10 @@ def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRe
         raise PreconditionError(f"liu_ren_gap needs 2 <= k <= n-1, got k={k}, n={n}")
     if a <= 0:
         raise PreconditionError(f"liu_ren_gap requires alpha > 0, got {a}")
-    (p, s, q), _, scale, _, sig = _integer_window(point, (a, 1), k - 2, k + 1, False)
+    terms, _, scale, _, sig = _integer_window(point, (a, 1), k - 2, k + 1, False)
     if not _in_cone(sig, k):
         raise PreconditionError("point lies outside the level-k positivity cone")
-    return GapReport.over(s * s, p * q, scale ** (2 * k))
+    return GapReport.over(*_gap_sides(terms), scale ** (2 * k))
 
 
 class EndpointWitness(namedtuple("EndpointWitness", "x alpha k report"), JsonResult):
@@ -300,5 +323,6 @@ def remark_violation(n: int, k: int) -> EndpointWitness:
     else:
         raise PreconditionError(f"remark applies only to k = 0 or k = n-1, got k={k}")
     point = (c,) * n
-    (p, s, q), _, scale, common, _ = _integer_window(point, (a, 1), k - 1, k + 2, True)
-    return EndpointWitness(point, a, k, GapReport.over(s * s, p * q, (common * scale ** (k + 1)) ** 2))
+    terms, _, scale, common, _ = _integer_window(point, (a, 1), k - 1, k + 2, True)
+    report = GapReport.over(*_gap_sides(terms), (common * scale ** (k + 1)) ** 2)
+    return EndpointWitness(point, a, k, report)

@@ -4,18 +4,12 @@ sample verification in one reproducible document."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import lcm
 
 from . import __version__
-from .certificate import (
-    cert_constants,
-    decomposition_residual,
-    theta_for,
-    theta_row,
-    window_check,
-)
+from .certificate import _residual, _window, cert_constants, theta_for, theta_row, window_check
 from .core import to_json
-from .gaps import gen_nm_gap, quantitative_gap
+from .gaps import _cleared_window, _gap_sides
 
 
 def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
@@ -25,6 +19,16 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
     Identical configuration produces a byte-identical document; the
     configuration and seeds are embedded so the claim is checkable.  The
     document comes back in its JSON form, ready for json.dump.
+
+    The sampled checks are sign tests on integers: each sample is drawn
+    as (numerator, denominator) pairs and put over one lcm of its raw
+    denominators, and each check reads the sign (or zero) of the integer
+    window terms that gen_nm_gap and quantitative_gap compute
+    (gaps._cleared_window, gaps._gap_sides) or of the integer residual
+    that decomposition_residual computes (certificate._residual).  Those
+    functions divide the same integers by a positive denominator, so the
+    counts equal theirs on the same draws.  The CLI caps the work of a
+    report at 50,000 windows and samples in all (cli.MAX_WORK).
     """
     if n_max < 4:
         # the windows start at n = 4: a smaller bound would pass with nothing checked
@@ -55,36 +59,51 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
             r = getrandbits(bits)
         return a + r
 
-    def rand_fraction() -> Fraction:
-        return Fraction(randint(-4000, 4000), randint(1, 400))
+    def rand_pair() -> tuple[int, int]:
+        """A sampled rational as its unreduced (numerator, denominator),
+        in the order Fraction(randint(-4000, 4000), randint(1, 400)) drew."""
+        return randint(-4000, 4000), randint(1, 400)
+
+    def cleared(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+        """(D, [x*D]) for the rationals of pairs, with D the lcm of their
+        raw denominators: a positive multiple of the reduced lcm."""
+        scale = lcm(*(den for _, den in pairs))
+        return scale, [num * (scale // den) for num, den in pairs]
 
     gen_nm_nonneg = 0
     gen_nm_zero = 0
     for _ in range(samples):
         n = randint(3, min(n_max, 8))
-        point = tuple(rand_fraction() for _ in range(n))
+        point = [rand_pair() for _ in range(n)]
         k = randint(1, n - 2)
-        gap = gen_nm_gap(point, rand_fraction(), k).gap
-        if gap >= 0:
+        scale, (alpha, *xs) = cleared([rand_pair(), *point])
+        # gen_nm_gap's window: the means about k, weights (alpha, 1)
+        terms = _cleared_window(scale, [alpha], xs, 1, k - 1, k + 2, True)[0]
+        lhs, rhs = _gap_sides(terms)
+        if lhs >= rhs:
             gen_nm_nonneg += 1
-        if gap == 0:
+        if lhs == rhs:
             gen_nm_zero += 1
 
     quantitative_nonneg = 0
     for _ in range(samples):
         n = randint(3, min(n_max, 8))
-        point = tuple(rand_fraction() for _ in range(n))
+        point = [rand_pair() for _ in range(n)]
         k = randint(0, n - 1)
-        report = quantitative_gap(point, rand_fraction(), k, theta_for(n, k))
-        if report.gap >= 0:
+        scale, (alpha, *xs) = cleared([rand_pair(), *point])
+        # quantitative_gap's window: the sigmas about k, weights (alpha, 1)
+        terms = _cleared_window(scale, [alpha], xs, 1, k - 1, k + 2, False)[0]
+        lhs, rhs = _gap_sides(terms, *theta_for(n, k).as_integer_ratio())
+        if lhs >= rhs:
             quantitative_nonneg += 1
 
     residual_zero = 0
     for _ in range(samples):
         n = randint(4, n_max)
         k = randint(1, n - 2)
-        z = tuple(rand_fraction() for _ in range(3))
-        if decomposition_residual(z, rand_fraction(), n, k) == 0:
+        _, z_alpha = cleared([rand_pair() for _ in range(4)])
+        window = _window(n, k)
+        if _residual(*z_alpha, window.constants.quad, window.cleared) == 0:
             residual_zero += 1
 
     checks = {

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,16 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from symcert.core import SymProfile, as_point, over_common_denominator
+from symcert import __version__
+from symcert.certificate import (
+    cert_constants,
+    decomposition_residual,
+    theta_for,
+    theta_row,
+    window_check,
+)
+from symcert.core import SymProfile, as_point, over_common_denominator, to_json
+from symcert.gaps import gen_nm_gap, quantitative_gap
 
 # Hypothesis imports libcst, when it is installed, to write the patch of a
 # failing example.  That import warns that mypy_extensions.TypedDict is
@@ -106,3 +116,98 @@ def scan_grid_points(length, grid):
             for p in range(1, length):
                 points.append((u,) * p + (v,) * (length - p))
     return points
+
+
+def reference_report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
+    """report_bundle as it was before its sampled checks ran on integers:
+    every sample is drawn as Fraction entries and checked through the
+    public gen_nm_gap, quantitative_gap and decomposition_residual.  The
+    three sample loops are kept verbatim as the reference the report must
+    match document for document."""
+    if n_max < 4:
+        # the windows start at n = 4: a smaller bound would pass with nothing checked
+        raise ValueError(f"report needs n_max >= 4, got {n_max}")
+    if samples < 1:
+        raise ValueError(f"report needs samples >= 1, got {samples}")
+
+    theta_rows = [theta_row(n, k) for n in range(3, n_max + 1) for k in range(n)]
+
+    certificate_rows = []
+    lemmas_pass = True
+    for n in range(4, n_max + 1):
+        for k in range(1, n - 1):
+            ok = window_check(n, k).passed
+            lemmas_pass = lemmas_pass and ok
+            certificate_rows.append({**cert_constants(n, k).to_json_dict(), "pass": ok})
+
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+
+    def randint(a: int, b: int) -> int:
+        """rng.randint(a, b): a plus the rejection loop that randrange runs
+        on getrandbits, without its argument checks."""
+        width = b - a + 1
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return a + r
+
+    def rand_fraction() -> Fraction:
+        return Fraction(randint(-4000, 4000), randint(1, 400))
+
+    gen_nm_nonneg = 0
+    gen_nm_zero = 0
+    for _ in range(samples):
+        n = randint(3, min(n_max, 8))
+        point = tuple(rand_fraction() for _ in range(n))
+        k = randint(1, n - 2)
+        gap = gen_nm_gap(point, rand_fraction(), k).gap
+        if gap >= 0:
+            gen_nm_nonneg += 1
+        if gap == 0:
+            gen_nm_zero += 1
+
+    quantitative_nonneg = 0
+    for _ in range(samples):
+        n = randint(3, min(n_max, 8))
+        point = tuple(rand_fraction() for _ in range(n))
+        k = randint(0, n - 1)
+        report = quantitative_gap(point, rand_fraction(), k, theta_for(n, k))
+        if report.gap >= 0:
+            quantitative_nonneg += 1
+
+    residual_zero = 0
+    for _ in range(samples):
+        n = randint(4, n_max)
+        k = randint(1, n - 2)
+        z = tuple(rand_fraction() for _ in range(3))
+        if decomposition_residual(z, rand_fraction(), n, k) == 0:
+            residual_zero += 1
+
+    checks = {
+        "lemmas_pass": lemmas_pass,
+        "gen_nm_nonnegative": gen_nm_nonneg == samples,
+        "gen_nm_zero_gaps": gen_nm_zero,
+        "quantitative_nonnegative": quantitative_nonneg == samples,
+        "decomposition_all_zero": residual_zero == samples,
+    }
+    checks["all_pass"] = bool(
+        checks["lemmas_pass"]
+        and checks["gen_nm_nonnegative"]
+        and checks["quantitative_nonnegative"]
+        and checks["decomposition_all_zero"]
+    )
+
+    document = {
+        "config": {
+            "version": __version__,
+            "n_max": n_max,
+            "seed": seed,
+            "samples": samples,
+        },
+        "theta": theta_rows,
+        "certificates": certificate_rows,
+        "checks": checks,
+    }
+    return to_json(document)

@@ -6,7 +6,8 @@ Sizes that set the requested work are capped (--n and --n-max at 12,
 --budget and --samples at 64) and always given for the commands that take
 them, so no example falls back to the larger defaults.  Each command runs
 in a temporary working directory, where the example's config file is
-c.json.
+c.json.  The file is written only for an argv that reads it, and only
+when its content changes: a small write can take tens of milliseconds.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import json
 import os
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from symcert.cli import run
@@ -111,6 +113,12 @@ def argvs(draw):
     return argv
 
 
+@pytest.fixture(scope="session")
+def workdir(tmp_path_factory):
+    """The examples' working directory, and what its c.json holds once written."""
+    return {"path": tmp_path_factory.mktemp("argv"), "config": None}
+
+
 @settings(max_examples=300)
 @given(argvs(), configs)
 @example(["lemmas", "--n-max", "6", "--config", "c.json"], '{"seed": Infinity}')
@@ -119,10 +127,11 @@ def argvs(draw):
 @example(["verify", "--ineq", "combo", "--x", '["1","2"]', "--coeffs", NESTED], "{}")
 @example(["search", "scan", "--family", "one-hot", "--n", "3", "--grid", NESTED], "{}")
 @example(["lemmas", "--n-max", "6", "--config", "c.json"], NESTED)
-def test_any_argv_exits_cleanly(tmp_path_factory, argv, config):
-    tmp = tmp_path_factory.getbasetemp() / "argv"
-    tmp.mkdir(exist_ok=True)
-    (tmp / "c.json").write_text(config)
+def test_any_argv_exits_cleanly(workdir, argv, config):
+    tmp = workdir["path"]
+    if "c.json" in argv and workdir["config"] != config:
+        (tmp / "c.json").write_text(config)
+        workdir["config"] = config
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(tmp)  # so every --out path, junk included, lands in tmp

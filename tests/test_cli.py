@@ -10,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import reference_report_bundle
 
-from symcert import report_bundle
+from symcert import certificate, cli, report_bundle
 from symcert.certificate import window_check
 from symcert.cli import run
 
@@ -316,6 +317,40 @@ class TestCertificateCommands:
             assert out == ""
             assert err == f"error: lemmas needs n_max >= 4, got {n_max}\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["lemmas", "--n-max", "449"], "--n-max"),
+            (["lemmas", "--n-max", str(10**18)], "--n-max"),
+            (["report", "--n-max", "318", "--samples", "1"], "--n-max"),
+            (["report", "--n-max", str(10**18), "--samples", "1"], "--n-max"),
+            (["report", "--n-max", "8", "--samples", "49981"], "--samples"),
+            (["report", "--n-max", "8", "--samples", str(10**18)], "--samples"),
+        ],
+    )
+    def test_work_above_the_cap_exits_two(self, capsys, monkeypatch, argv, flag):
+        # refused from the estimate alone: no window or sample is ever checked
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr("symcert.certificate.window_check", refuse)
+        monkeypatch.setattr("symcert.report.report_bundle", refuse)
+        values = dict(zip(argv[1::2], map(int, argv[2::2])))
+        command = argv[0]
+        assert cli._windows(values["--n-max"]) + values.get("--samples", 0) > cli.MAX_WORK[command]
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+    def test_work_caps_admit_the_largest_documented_commands(self):
+        assert cli._windows(4) == 2 and cli._windows(8) == sum(n - 2 for n in range(4, 9))
+        assert cli._windows(448) <= cli.MAX_WORK["lemmas"] < cli._windows(449)
+        assert cli._windows(317) < cli.MAX_WORK["report"] < cli._windows(318)
+        assert cli._windows(200) + 200 <= cli.MAX_WORK["report"]
+        assert cli._windows(60) + 2000 <= cli.MAX_WORK["report"]
+
     def test_certificate_out_of_range(self, capsys):
         code, _, err = invoke(capsys, "certificate", "--n", "3", "--k", "1")
         assert code == 2
@@ -436,6 +471,45 @@ class TestReport:
 
     def test_bundle_function_deterministic(self):
         assert report_bundle(5, 2, 30) == report_bundle(5, 2, 30)
+
+    @pytest.mark.parametrize("n_max", [4, 5, 8, 12, 30])
+    def test_bundle_equals_the_fraction_reference(self, n_max):
+        # the integer sign tests decide every sample as the public gap
+        # functions on Fraction draws do, for every count and seed
+        for seed in (0, 3, 29):
+            for samples in (1, 7, 200):
+                expected = reference_report_bundle(n_max, seed, samples)
+                assert report_bundle(n_max, seed, samples) == expected
+
+    def test_quantitative_check_can_fail(self, capsys, monkeypatch):
+        # theta = 99/100 is far above the certified constant, so some
+        # sampled gap (1 - theta) s^2 - p q is negative
+        monkeypatch.setattr("symcert.report.theta_for", lambda n, k: F(99, 100))
+        checks = report_bundle(8, 0, 200)["checks"]
+        assert checks["quantitative_nonnegative"] is False
+        assert checks["all_pass"] is False
+        assert checks["gen_nm_nonnegative"] is checks["decomposition_all_zero"] is True
+        code, data, _ = invoke_json(capsys, "report", "--n-max", "8", "--samples", "200")
+        assert code == 1
+        assert data["checks"] == checks
+
+    def test_decomposition_check_can_fail(self, monkeypatch):
+        # one cleared constant off by one leaves a nonzero residual
+        cleared = certificate._cleared
+
+        def bumped(constants):
+            exact = cleared(constants)
+            return exact._replace(A1=exact.A1 + 1)
+
+        monkeypatch.setattr(certificate, "_cleared", bumped)
+        certificate._window.cache_clear()
+        try:
+            checks = report_bundle(8, 0, 200)["checks"]
+        finally:
+            certificate._window.cache_clear()
+        assert checks["decomposition_all_zero"] is False
+        assert checks["all_pass"] is False
+        assert checks["quantitative_nonnegative"] is checks["lemmas_pass"] is True
 
 README_GOLDENS = GOLDENS / "cli-readme"
 README_MANIFEST = json.loads((README_GOLDENS / "manifest.json").read_text())["commands"]
