@@ -13,11 +13,13 @@ command loads only what it needs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import re
 import sys
 from collections.abc import Sequence
+from itertools import islice
 
 from . import __version__
 from .core import (
@@ -37,11 +39,23 @@ _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "
 # (those stop near 2,150 digits)
 _DIGIT_MARGIN = 100
 
-# The most work lemmas and report take on, counted from the parsed argv
-# before any starts: one unit per window (n, k) with 4 <= n <= n_max and
-# 1 <= k <= n-2, and for report one per sample.  At its cap each command
-# runs a few seconds in a few hundred MB; README states both caps.
-MAX_WORK = {"lemmas": 100_000, "report": 50_000}
+# The most work each sized command takes on, counted from the parsed argv
+# before any starts: for lemmas and report one unit per window (n, k)
+# with 4 <= n <= n_max and 1 <= k <= n-2, and for report one per sample;
+# one per sample of search theta and per iteration of search
+# conjecture15; one per point entry search scan evaluates
+# (search._scan_work).  At its cap each command runs a few seconds;
+# README states every cap.
+MAX_WORK = {
+    "lemmas": 100_000,
+    "report": 50_000,
+    "search conjecture15": 20_000,
+    "search theta": 100_000,
+    "search scan": 1_000_000,
+}
+
+# JSON chunks per write: a few hundred KB of text at most
+_JSON_BATCH = 8192
 
 # Flags whose value is a rational.  argparse takes a separate value such
 # as -1/2 or -1e3 for an option, since only -2 and -0.5 match its
@@ -244,9 +258,19 @@ def _effective_config(args: argparse.Namespace) -> None:
                 raise ValueError(f"--{key}: {exc}") from None
 
 
+def _write_json(payload: object, handle: io.TextIOBase) -> None:
+    """The one JSON writer, for stdout and report --out alike: json.dump's
+    encoder, streamed, so no whole string is built.  Its chunks are joined
+    in batches, since one write per chunk costs about 2 us on a pipe."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, _JSON_BATCH)):
+        handle.write(batch)
+    handle.write("\n")
+
+
 def _emit(payload: object, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        _write_json(payload, sys.stdout)
     else:
         for line in _text_lines(payload, indent=0):
             print(line)
@@ -366,27 +390,30 @@ def _windows(n_max: int) -> int:
     return (n_max - 2) * (n_max - 1) // 2 - 1 if n_max >= 4 else 0
 
 
-def _check_work(command: str, n_max: int, samples: int = 0) -> None:
-    """Refuse an argv whose work exceeds the command's cap in MAX_WORK,
-    naming --n-max when its windows alone do and --samples otherwise."""
+def _check_work(command: str, flag: str, units: int, what: str) -> None:
+    """Refuse an argv whose work, units counted from it before any work
+    starts, exceeds the command's cap in MAX_WORK: one error line that
+    names the flag and what would be checked."""
     cap = MAX_WORK[command]
+    if units > cap:
+        raise ValueError(f"{flag}: {command} would check {what}, above its cap of {cap}")
+
+
+def _check_windows(command: str, n_max: int, samples: int = 0) -> None:
+    """The work cap of lemmas and report: --n-max when the windows alone
+    exceed it, --samples when the samples take them past it."""
     windows = _windows(n_max)
-    if windows > cap:
-        raise ValueError(
-            f"--n-max: {command} would check {windows} windows, above its cap of {cap}"
-        )
-    if windows + samples > cap:
-        raise ValueError(
-            f"--samples: {command} would check {windows} windows and {samples} samples, "
-            f"above its cap of {cap} in all"
-        )
+    _check_work(command, "--n-max", windows, f"{windows} windows")
+    _check_work(
+        command, "--samples", windows + samples, f"{windows} windows and {samples} samples in all"
+    )
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[object, bool]:
     if args.n_max < 4:
         # the lemmas start at n = 4: a smaller bound would pass with nothing checked
         raise ValueError(f"lemmas needs n_max >= 4, got {args.n_max}")
-    _check_work("lemmas", args.n_max)
+    _check_windows("lemmas", args.n_max)
     from .certificate import window_check
 
     checks = [window_check(n, k) for n in range(4, args.n_max + 1) for k in range(1, n - 1)]
@@ -416,6 +443,7 @@ def _cmd_theta(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[object, bool]:
+    _check_work("search conjecture15", "--budget", args.budget, f"{args.budget} iterations")
     from .search import find_counterexample_15
 
     witness = find_counterexample_15(args.m, args.n, args.seed, args.budget)
@@ -430,29 +458,35 @@ def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_search_theta(args: argparse.Namespace) -> tuple[object, bool]:
+    _check_work("search theta", "--samples", args.samples, f"{args.samples} samples")
     from .search import empirical_theta
 
     return empirical_theta(args.n, args.k, args.samples, args.seed), False
 
 
 def _cmd_search_scan(args: argparse.Namespace) -> tuple[object, bool]:
-    from .search import ScanGrid, structured_scan
+    from .search import ScanGrid, _scan_work, structured_scan
 
     grid = ScanGrid() if args.grid is None else ScanGrid.of(args.grid)
+    cap = MAX_WORK["search scan"]
+    # --grid is at fault only if the default grid would pass at this n
+    flag = "--n" if _scan_work(args.family, args.n, ScanGrid()) > cap else "--grid"
+    size = f"{args.family}, n = {args.n}, {len(grid.values)} grid values"
+    what = f"more than {cap} point entries ({size})"
+    _check_work("search scan", flag, _scan_work(args.family, args.n, grid), what)
     report = structured_scan(args.family, args.n, grid)
     return report, report.negative > 0
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[object, bool]:
-    _check_work("report", args.n_max, args.samples)
+    _check_windows("report", args.n_max, args.samples)
     from .report import report_bundle
 
     document = report_bundle(args.n_max, args.seed, args.samples)
     failed = not document["checks"]["all_pass"]
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+            _write_json(document, handle)
         return {"written": args.out, "n_max": args.n_max}, failed
     return document, failed
 

@@ -75,36 +75,26 @@ def _window(u: Callable[[int], RationalLike], weights: Sequence, lo: int, hi: in
     return [sum(map(mul, weights, vals[i:])) for i in range(hi - lo)]
 
 
-def _integer_window(
-    point: tuple[Fraction, ...], weights: Sequence[Fraction | int], lo: int, hi: int, means: bool
-) -> tuple[list[int], list[int], int, int, list[int]]:
-    """The terms of _window for i = lo..hi-1 of the sigmas, or with means
-    of the means, on integers: returns (T, w, D, C, S).
-
-    The point and every weight but the last go over one denominator D,
-    the lcm of their denominators, and _cleared_window runs on the
-    integer numerators.
-    """
-    m = len(weights)
-    *head, last = weights
-    scale, ints = over_common_denominator((*head, *point))
-    return _cleared_window(scale, ints[: m - 1], ints[m - 1 :], last, lo, hi, means)
+_IntWindow = tuple[list[int], int, int, int, list[int]]  # (T, D, C, e, S): _cleared_window
+# linear_combo_gap's window (lo, hi): the terms at 0, 1, 2 of its weights
+_COMBO_SPAN = (0, 3)
 
 
 def _cleared_window(
     scale: int, head: list[int], xs: list[int], last: Fraction | int, lo: int, hi: int, means: bool
-) -> tuple[list[int], list[int], int, int, list[int]]:
-    """The integer core of _integer_window: head holds the m - 1 weights
-    before the last and xs the point, each times one denominator D =
-    scale, and last is the last weight.  D may be any positive common
+) -> _IntWindow:
+    """(T, D, C, e, S): T the terms of _window for i = lo..hi-1 of the
+    sigmas, or with means of the means, on integers.  head holds the m - 1
+    weights before the last and xs the point, each times one denominator
+    D = scale, and last is the last weight; D may be any positive common
     denominator, since each term scales by a positive power of it.
 
     W is the last weight's denominator; of m weights, weight r becomes
-    w_r = W*a_r*D^(m-1-r), and S_j = sigma_j*D^j.  The sigmas feed S_j
-    with L = 1; the means feed S_j*(L // C(n, j)), with L the lcm of the
+    W*a_r*D^(m-1-r), and S_j = sigma_j*D^j.  The sigmas feed S_j with
+    L = 1; the means feed S_j*(L // C(n, j)), with L the lcm of the
     C(n, j) the window reads.  The term at i is T[i - lo] / (C*D^(i+m-1))
-    with C = W*L, so the window at j has s^2 and p*q both over
-    (C*D^(j+m-1))^2.  For (alpha, 1), W = 1 and the weights are (alpha*D, 1).
+    with C = W*L, so a window (p, s, q) at lo..lo+2 has s^2 and p*q both
+    over (C*D^e)^2 with e = lo + m (_gap_den; no sign test builds it).
     """
     n, m = len(xs), len(head) + 1
     sig = _sigma_numerators(xs)
@@ -116,7 +106,13 @@ def _cleared_window(
         common = lcm(*(comb(n, j) for j in picks))
         u = [s * (common // comb(n, j)) if j in picks else 0 for j, s in enumerate(sig)]
     terms = _window(lambda j: u[j] if 0 <= j <= n else 0, w, lo, hi)
-    return terms, w, scale, top * common, sig
+    return terms, scale, top * common, lo + m, sig
+
+
+def _gap_den(window: _IntWindow) -> int:
+    """(C*D^e)^2, the denominator of s^2 and p*q over a window (p, s, q)."""
+    _, scale, common, e, _ = window
+    return (common * scale**e) ** 2
 
 
 def _gap_sides(terms: Sequence[int], t_num: int = 0, t_den: int = 1) -> tuple[int, int]:
@@ -128,6 +124,26 @@ def _gap_sides(terms: Sequence[int], t_num: int = 0, t_den: int = 1) -> tuple[in
     return (t_den - t_num) * s * s, t_den * p * q
 
 
+def _gen_nm_window(scale: int, ints: list[int], k: int) -> _IntWindow:
+    """gen_nm_gap's window about k: the means at k-1..k+2 under (alpha, 1),
+    on ints = [alpha, *x] times D = scale (over_common_denominator)."""
+    return _cleared_window(scale, ints[:1], ints[1:], 1, k - 1, k + 2, True)
+
+
+def _quantitative_window(scale: int, ints: list[int], k: int) -> _IntWindow:
+    """quantitative_gap's window about k: the sigmas at k-1..k+2 under
+    (alpha, 1), on ints as in _gen_nm_window."""
+    return _cleared_window(scale, ints[:1], ints[1:], 1, k - 1, k + 2, False)
+
+
+def _combo_window(point: tuple[Fraction, ...], weights: Sequence[Fraction]) -> _IntWindow:
+    """linear_combo_gap's window: the means at 0..m+1 under the m weights;
+    the point and all weights but the last go over their lcm denominator."""
+    *head, last = weights
+    scale, ints = over_common_denominator((*head, *point))
+    return _cleared_window(scale, ints[: len(head)], ints[len(head) :], last, *_COMBO_SPAN, True)
+
+
 def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapReport:
     """Gap s^2 - p*q over the window (p, s, q) of the means at j, with its
     equality label.
@@ -135,17 +151,18 @@ def _two_term_gap(point: tuple[Fraction, ...], alpha: Fraction, j: int) -> GapRe
     The ratio condition is checked in cross-multiplied form so zero
     denominators never need dividing: s = -alpha*p and q = -alpha*s.
     """
-    (p, s, q), (w0, w1), scale, common, _ = _integer_window(point, (alpha, 1), j - 1, j + 2, True)
+    window = _gen_nm_window(*over_common_denominator((alpha, *point)), j)
+    (p, s, q), scale = window[0], window[1]
     lhs, rhs = _gap_sides((p, s, q))
     if lhs != rhs:
         case = EqualityCase.STRICT
     elif all(v == point[0] for v in point):
         case = EqualityCase.ALL_EQUAL
-    elif w1 * s == -w0 * p and w1 * q == -w0 * s:
+    elif s == -alpha * scale * p and q == -alpha * scale * s:
         case = EqualityCase.RATIO_MINUS_ALPHA
     else:
         case = EqualityCase.NOT_APPLICABLE
-    return GapReport.over(lhs, rhs, (common * scale ** (j + 1)) ** 2, case)
+    return GapReport.over(lhs, rhs, _gap_den(window), case)
 
 
 def newton_gap(x: Iterable[RationalLike], k: int) -> GapReport:
@@ -220,7 +237,8 @@ def gen_maclaurin_chain(x: Iterable[RationalLike], alpha: RationalLike) -> Chain
         raise PreconditionError("the generalized chain requires alpha >= 0")
     # the term at m is T_m / (C D^(m+1)), so the powers of D cancel in
     # term_{m-1}^(m+1) >= term_m^m, which reads T_{m-1}^(m+1) >= C T_m^m
-    terms, _, _, common, _ = _integer_window(point, (a, 1), 0, len(point), True)
+    scale, ints = over_common_denominator((a, *point))
+    terms, _, common, _, _ = _cleared_window(scale, ints[:1], ints[1:], 1, 0, len(point), True)
     chain_top = -1
     failed_at: int | None = None
     for m, value in enumerate(terms):
@@ -251,8 +269,8 @@ def linear_combo_gap(
         raise PreconditionError("need at least one coefficient")
     # a weight past slot n+1 reads only means past n, which are zero
     weights = weights[: len(point) + 1]
-    terms, _, scale, common, _ = _integer_window(point, weights, 0, 3, True)
-    return GapReport.over(*_gap_sides(terms), (common * scale ** len(weights)) ** 2)
+    window = _combo_window(point, weights)
+    return GapReport.over(*_gap_sides(window[0]), _gap_den(window))
 
 
 def quantitative_gap(
@@ -275,10 +293,10 @@ def quantitative_gap(
         raise PreconditionError(f"quantitative_gap needs 0 <= k <= n-1, got k={k}, n={n}")
     if not 0 < th < 1:
         raise PreconditionError(f"theta must lie in (0, 1), got {th}")
-    terms, _, scale, _, _ = _integer_window(point, (a, 1), k - 1, k + 2, False)
-    # (1 - theta) s^2 - p q over t_den (D^(k+1))^2, with theta = t_num / t_den
+    window = _quantitative_window(*over_common_denominator((a, *point)), k)
+    # (1 - theta) s^2 - p q over t_den times the window's, with theta = t_num / t_den
     t_num, t_den = th.as_integer_ratio()
-    return GapReport.over(*_gap_sides(terms, t_num, t_den), t_den * scale ** (2 * k + 2))
+    return GapReport.over(*_gap_sides(window[0], t_num, t_den), t_den * _gap_den(window))
 
 
 def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapReport:
@@ -294,10 +312,11 @@ def liu_ren_gap(x: Iterable[RationalLike], alpha: RationalLike, k: int) -> GapRe
         raise PreconditionError(f"liu_ren_gap needs 2 <= k <= n-1, got k={k}, n={n}")
     if a <= 0:
         raise PreconditionError(f"liu_ren_gap requires alpha > 0, got {a}")
-    terms, _, scale, _, sig = _integer_window(point, (a, 1), k - 2, k + 1, False)
-    if not _in_cone(sig, k):
+    # the sigma-form window about k is quantitative_gap's about k - 1
+    window = _quantitative_window(*over_common_denominator((a, *point)), k - 1)
+    if not _in_cone(window[4], k):
         raise PreconditionError("point lies outside the level-k positivity cone")
-    return GapReport.over(*_gap_sides(terms), scale ** (2 * k))
+    return GapReport.over(*_gap_sides(window[0]), _gap_den(window))
 
 
 class EndpointWitness(namedtuple("EndpointWitness", "x alpha k report"), JsonResult):
@@ -323,6 +342,6 @@ def remark_violation(n: int, k: int) -> EndpointWitness:
     else:
         raise PreconditionError(f"remark applies only to k = 0 or k = n-1, got k={k}")
     point = (c,) * n
-    terms, _, scale, common, _ = _integer_window(point, (a, 1), k - 1, k + 2, True)
-    report = GapReport.over(*_gap_sides(terms), (common * scale ** (k + 1)) ** 2)
+    window = _gen_nm_window(*over_common_denominator((a, *point)), k)
+    report = GapReport.over(*_gap_sides(window[0]), _gap_den(window))
     return EndpointWitness(point, a, k, report)

@@ -32,12 +32,11 @@ from .core import (
     as_rational,
     as_triple,
     binomial,
-    e_all,
     over_common_denominator,
     sigma_all,
     to_json,
 )
-from .gaps import _window
+from .gaps import _gap_sides, _window, gen_nm_gap
 
 ROOT_DIGITS = 40
 _NEWTON_DEN_BOUND = 10**80
@@ -221,8 +220,8 @@ def gap_from_moments(
     two-term gap exactly.
     """
     moments = (1, as_rational(m1), as_rational(m2), as_rational(m3))
-    p, s, q = _window(moments.__getitem__, (as_rational(alpha), 1), 0, 3)
-    return s**2 - p * q
+    square, product = _gap_sides(_window(moments.__getitem__, (as_rational(alpha), 1), 0, 3))
+    return square - product
 
 
 def lemma21_identity_residual(
@@ -236,8 +235,7 @@ def lemma21_identity_residual(
     """
     z1, z2, z3 = as_triple(z)
     a = as_rational(alpha)
-    p, s, q = _window(e_all((z1, z2, z3)).__getitem__, (a, 1), 0, 3)
-    gap = 18 * (s**2 - p * q)
+    gap = 18 * gen_nm_gap((z1, z2, z3), a, 1).gap
     u = (z1 + a) * (z2 + a)
     v = (z1 + a) * (z3 + a)
     w = (z2 + a) * (z3 + a)

@@ -9,7 +9,7 @@ from math import lcm
 from . import __version__
 from .certificate import _residual, _window, cert_constants, theta_for, theta_row, window_check
 from .core import to_json
-from .gaps import _cleared_window, _gap_sides
+from .gaps import _gap_sides, _gen_nm_window, _quantitative_window
 
 
 def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
@@ -22,12 +22,12 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
 
     The sampled checks are sign tests on integers: each sample is drawn
     as (numerator, denominator) pairs and put over one lcm of its raw
-    denominators, and each check reads the sign (or zero) of the integer
-    window terms that gen_nm_gap and quantitative_gap compute
-    (gaps._cleared_window, gaps._gap_sides) or of the integer residual
-    that decomposition_residual computes (certificate._residual).  Those
-    functions divide the same integers by a positive denominator, so the
-    counts equal theirs on the same draws.  The CLI caps the work of a
+    denominators, and each check reads the sign (or zero) of the window
+    terms of gen_nm_gap and quantitative_gap through their own
+    gaps._gen_nm_window, gaps._quantitative_window and gaps._gap_sides, or
+    of the residual of decomposition_residual (certificate._residual).
+    Those functions divide the same integers by a positive denominator, so
+    the counts equal theirs on the same draws.  The CLI caps the work of a
     report at 50,000 windows and samples in all (cli.MAX_WORK).
     """
     if n_max < 4:
@@ -76,10 +76,7 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
         n = randint(3, min(n_max, 8))
         point = [rand_pair() for _ in range(n)]
         k = randint(1, n - 2)
-        scale, (alpha, *xs) = cleared([rand_pair(), *point])
-        # gen_nm_gap's window: the means about k, weights (alpha, 1)
-        terms = _cleared_window(scale, [alpha], xs, 1, k - 1, k + 2, True)[0]
-        lhs, rhs = _gap_sides(terms)
+        lhs, rhs = _gap_sides(_gen_nm_window(*cleared([rand_pair(), *point]), k)[0])
         if lhs >= rhs:
             gen_nm_nonneg += 1
         if lhs == rhs:
@@ -90,9 +87,7 @@ def report_bundle(n_max: int = 8, seed: int = 0, samples: int = 200) -> dict:
         n = randint(3, min(n_max, 8))
         point = [rand_pair() for _ in range(n)]
         k = randint(0, n - 1)
-        scale, (alpha, *xs) = cleared([rand_pair(), *point])
-        # quantitative_gap's window: the sigmas about k, weights (alpha, 1)
-        terms = _cleared_window(scale, [alpha], xs, 1, k - 1, k + 2, False)[0]
+        terms = _quantitative_window(*cleared([rand_pair(), *point]), k)[0]
         lhs, rhs = _gap_sides(terms, *theta_for(n, k).as_integer_ratio())
         if lhs >= rhs:
             quantitative_nonneg += 1

@@ -7,13 +7,13 @@ is keyed per iteration, so identical (seed, budget, parameters) produce
 identical reports.
 
 Sampling, the float prefilter, the theta ratio and the family scans run
-on Python integers.  Each gap is one window of weights (gaps._window):
-the theta ratio reads (alpha, 1) and the combination its coefficients,
-on the sigmas S_j = sigma_j * D^j of the point and weights over one
-denominator D, so no Fraction is built for a sigma, a mean or a window
-term.  The prefilter feeds the same window the floats S_j / (D^j C(n, j)),
-each the correctly rounded float(E_j), and every ratio, gap and witness
-is an exact Fraction.
+on Python integers, each on the window and the sides (gaps._gap_sides)
+of the gap it estimates: the theta ratio on gaps._quantitative_window,
+the scan on gaps._combo_window, so no Fraction is built for a sigma, a
+mean or a window term.  The prefilter feeds the combination's span the
+floats S_j / (D^j C(n, j)) of the sigmas S_j = sigma_j * D^j over one
+denominator D, each the correctly rounded float(E_j), and every ratio,
+gap and witness is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .core import (
     as_rational,
     over_common_denominator,
 )
-from .gaps import _integer_window, _window, linear_combo_gap
+from .gaps import _COMBO_SPAN, _combo_window, _gap_sides, _quantitative_window, _window
+from .gaps import linear_combo_gap
 
 _SEED_STRIDE = 1_000_003
 _DENOMINATOR_BOUND = 10**6
@@ -133,8 +134,8 @@ def _float_combo_gap(point: Sequence[Fraction], coeffs: Sequence[Fraction]) -> f
         means.append(s / (power * math.comb(n, j)))
         power *= scale
     means += [0.0] * (len(coeffs) + 1)
-    low, mid, high = _window(means.__getitem__, [float(c) for c in coeffs], 0, 3)
-    return mid * mid - low * high
+    lhs, rhs = _gap_sides(_window(means.__getitem__, [float(c) for c in coeffs], *_COMBO_SPAN))
+    return lhs - rhs
 
 
 def _refine_point(
@@ -236,11 +237,12 @@ def empirical_theta(n: int, k: int, samples: int, seed: int) -> ThetaSummary:
         else:
             point = tuple(_sample_entry(rng, negative_rate=0.5) for _ in range(n))
         # the window's integer scale cancels in the ratio
-        (p, s, q), *_ = _integer_window(point, (alpha, 1), k - 1, k + 2, False)
-        if s == 0:
+        window = _quantitative_window(*over_common_denominator((alpha, *point)), k)
+        square, product = _gap_sides(window[0])
+        if square == 0:
             skipped += 1
             continue
-        ratio = 1 - Fraction(p * q, s * s)
+        ratio = 1 - Fraction(product, square)
         if ratio < certified:
             raise CertificateViolation(
                 f"ratio {ratio} below certified theta {certified} at (n, k) = ({n}, {k}); "
@@ -310,6 +312,24 @@ def _family_vectors(family: str, m: int, grid: ScanGrid) -> Iterator[tuple[Fract
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
+def _scan_work(family: str, n: int, grid: ScanGrid) -> int:
+    """The point entries structured_scan(family, n, grid) evaluates, in
+    closed form: each of the family's vectors times |grid|^2 * n points
+    of n + 1 entries.  No vector is built; an alternating-signs count
+    past 2^64 reads as 2^64, past any cap.  0 for the arguments the scan
+    refuses."""
+    if n < 1:
+        return 0
+    g = len(grid.values)
+    vectors = {
+        "one-hot": n,
+        "all-ones": 1,
+        "alternating-signs": 2 ** min((n + 1) // 2, 64),
+        "two-adjacent": (n - 1) * g,
+    }.get(family, 0)
+    return vectors * g * g * n * (n + 1)
+
+
 def _grid_points(length: int, grid: ScanGrid) -> Iterator[tuple[Fraction, ...]]:
     """The two-block points u..u v..v of one length, one at a time."""
     for u in grid.values:
@@ -332,8 +352,7 @@ def structured_scan(family: str, n: int, grid: ScanGrid | None = None) -> ScanRe
     for coeffs in _family_vectors(family, n, grid):
         for point in _grid_points(n + 1, grid):
             # linear_combo_gap's window: n weights on n + 1 entries need no trim
-            (low, mid, high), *_ = _integer_window(point, coeffs, 0, 3, True)
-            lhs, rhs = mid * mid, low * high
+            lhs, rhs = _gap_sides(_combo_window(point, coeffs)[0])
             if lhs > rhs:
                 positive += 1
             elif lhs == rhs:

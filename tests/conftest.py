@@ -16,8 +16,8 @@ from symcert.certificate import (
     theta_row,
     window_check,
 )
-from symcert.core import SymProfile, as_point, over_common_denominator, to_json
-from symcert.gaps import gen_nm_gap, quantitative_gap
+from symcert.core import SymProfile, _sigma_numerators, as_point, over_common_denominator, to_json
+from symcert.gaps import _window, gen_nm_gap, quantitative_gap
 
 # Hypothesis imports libcst, when it is installed, to write the patch of a
 # failing example.  That import warns that mypy_extensions.TypedDict is
@@ -105,6 +105,22 @@ def scan_family_vectors(family, m, grid):
                 vectors.append(tuple(vec))
         return vectors
     raise ValueError(f"unknown family {family!r}")
+
+
+def window_float_combo_gap(point, coeffs) -> float:
+    """search._float_combo_gap as it was when it formed the sides mid * mid
+    and low * high itself, kept verbatim as the bit-for-bit reference for
+    the prefilter that reads gaps._gap_sides."""
+    n = len(point)
+    scale, ints = over_common_denominator(point)
+    means = []
+    power = 1
+    for j, s in enumerate(_sigma_numerators(ints)):
+        means.append(s / (power * math.comb(n, j)))
+        power *= scale
+    means += [0.0] * (len(coeffs) + 1)
+    low, mid, high = _window(means.__getitem__, [float(c) for c in coeffs], 0, 3)
+    return mid * mid - low * high
 
 
 def scan_grid_points(length, grid):

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from conftest import reference_report_bundle
 
-from symcert import certificate, cli, report_bundle
+from symcert import certificate, cli, gaps, report_bundle, search
+from symcert import report as report_module
 from symcert.certificate import window_check
 from symcert.cli import run
 
@@ -326,18 +327,51 @@ class TestCertificateCommands:
             (["report", "--n-max", str(10**18), "--samples", "1"], "--n-max"),
             (["report", "--n-max", "8", "--samples", "49981"], "--samples"),
             (["report", "--n-max", "8", "--samples", str(10**18)], "--samples"),
+            (["search", "scan", "--family", "one-hot", "--n", "34"], "--n"),
+            (["search", "scan", "--family", "alternating-signs", "--n", "1000000"], "--n"),
+            (["search", "scan", "--family", "alternating-signs", "--n", str(10**18)], "--n"),
+            (["search", "scan", "--family", "two-adjacent", "--n", str(10**18)], "--n"),
+            (["search", "scan", "--family", "all-ones", "--n", str(10**18)], "--n"),
+            (
+                ["search", "scan", "--family", "one-hot", "--n", "3",
+                 "--grid", json.dumps([str(v) for v in range(1, 330)])],
+                "--grid",
+            ),
+            (["search", "theta", "--n", "4", "--k", "1", "--samples", "100001"], "--samples"),
+            (["search", "theta", "--n", "4", "--k", "1", "--samples", str(10**18)], "--samples"),
+            (["search", "conjecture15", "--m", "3", "--n", "4", "--budget", "20001"], "--budget"),
+            (
+                ["search", "conjecture15", "--m", "3", "--n", "4", "--budget", str(10**18)],
+                "--budget",
+            ),
         ],
     )
     def test_work_above_the_cap_exits_two(self, capsys, monkeypatch, argv, flag):
-        # refused from the estimate alone: no window or sample is ever checked
+        # refused from the estimate alone: no window, sample, iteration or
+        # point is ever checked
         def refuse(*args):
             raise AssertionError("work started")
 
-        monkeypatch.setattr("symcert.certificate.window_check", refuse)
-        monkeypatch.setattr("symcert.report.report_bundle", refuse)
-        values = dict(zip(argv[1::2], map(int, argv[2::2])))
-        command = argv[0]
-        assert cli._windows(values["--n-max"]) + values.get("--samples", 0) > cli.MAX_WORK[command]
+        for work in (
+            "symcert.certificate.window_check",
+            "symcert.report.report_bundle",
+            "symcert.search.structured_scan",
+            "symcert.search.empirical_theta",
+            "symcert.search.find_counterexample_15",
+        ):
+            monkeypatch.setattr(work, refuse)
+        command = " ".join(argv[:2]) if argv[0] == "search" else argv[0]
+        values = dict(zip(argv[-2::-2], argv[::-2]))
+        if command == "search scan":
+            grid = search.ScanGrid.of(
+                json.loads(values.get("--grid", "[]")) or search.DEFAULT_GRID
+            )
+            units = search._scan_work(values["--family"], int(values["--n"]), grid)
+        elif command.startswith("search"):
+            units = int(values.get("--samples", values.get("--budget")))
+        else:
+            units = cli._windows(int(values["--n-max"])) + int(values.get("--samples", 0))
+        assert units > cli.MAX_WORK[command]
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -350,6 +384,12 @@ class TestCertificateCommands:
         assert cli._windows(317) < cli.MAX_WORK["report"] < cli._windows(318)
         assert cli._windows(200) + 200 <= cli.MAX_WORK["report"]
         assert cli._windows(60) + 2000 <= cli.MAX_WORK["report"]
+        # the README's search commands, and the largest scans README names
+        grid = search.ScanGrid()
+        assert search._scan_work("alternating-signs", 3, grid) <= cli.MAX_WORK["search scan"]
+        assert search._scan_work("one-hot", 33, grid) <= cli.MAX_WORK["search scan"]
+        assert search._scan_work("one-hot", 34, grid) > cli.MAX_WORK["search scan"]
+        assert 1000 <= cli.MAX_WORK["search theta"] and 2000 <= cli.MAX_WORK["search conjecture15"]
 
     def test_certificate_out_of_range(self, capsys):
         code, _, err = invoke(capsys, "certificate", "--n", "3", "--k", "1")
@@ -511,6 +551,52 @@ class TestReport:
         assert checks["all_pass"] is False
         assert checks["quantitative_nonnegative"] is checks["lemmas_pass"] is True
 
+    @pytest.mark.parametrize(
+        "name, check, other, gaps_read",
+        [
+            (
+                "_gen_nm_window",
+                "gen_nm_nonnegative",
+                "quantitative_nonnegative",
+                [
+                    lambda: gaps.gen_nm_gap(["1", "2", "3", "4"], F(1, 2), 1),
+                    lambda: gaps.newton_gap(["1", "2", "3"], 1),
+                    lambda: gaps.remark_violation(4, 0).report,
+                ],
+            ),
+            (
+                "_quantitative_window",
+                "quantitative_nonnegative",
+                "gen_nm_nonnegative",
+                [
+                    lambda: gaps.quantitative_gap(["1", "2", "3", "4"], F(1, 2), 1, F(1, 2)),
+                    lambda: gaps.liu_ren_gap(["1", "2", "3", "4"], F(1, 2), 2),
+                ],
+            ),
+        ],
+    )
+    def test_checks_read_the_gap_layers_windows(self, monkeypatch, name, check, other, gaps_read):
+        # the report's sampled check and the public gaps read one window
+        # function of gaps: a window with terms (1, 0, 1), whose s^2 - p*q
+        # is negative, turns the check and every gap that reads it negative
+        real = getattr(gaps, name)
+        calls = []
+
+        def negative(*args):
+            calls.append(args)
+            return ([1, 0, 1], *real(*args)[1:])
+
+        for module in (gaps, report_module):
+            monkeypatch.setattr(module, name, negative)
+        checks = report_bundle(8, 0, 20)["checks"]
+        assert len(calls) == 20
+        assert checks[check] is checks["all_pass"] is False
+        assert checks[other] is checks["decomposition_all_zero"] is True
+        for gap in gaps_read:
+            calls.clear()
+            assert gap().relation is gaps.Relation.NEGATIVE
+            assert len(calls) == 1
+
 README_GOLDENS = GOLDENS / "cli-readme"
 README_MANIFEST = json.loads((README_GOLDENS / "manifest.json").read_text())["commands"]
 
@@ -670,7 +756,9 @@ class TestErrorPaths:
         import symcert.search as search_module
 
         # every window has a vanishing middle term, so no ratio is defined
-        monkeypatch.setattr(search_module, "_integer_window", lambda *args: ([0, 0, 0], 0, 1, 1, []))
+        monkeypatch.setattr(
+            search_module, "_quantitative_window", lambda *args: ([0, 0, 0], 1, 1, 1, [])
+        )
         code, out, err = invoke(capsys, "search", "theta", "--n", "4", "--k", "1", "--samples", "5")
         assert (code, out) == (2, "")
         assert err.startswith("error: all 5 samples had a vanishing denominator")

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from conftest import scan_family_vectors, scan_grid_points
+from conftest import scan_family_vectors, scan_grid_points, window_float_combo_gap
 from symcert import search
 from symcert.certificate import theta_for
 from symcert.core import sigma_all
@@ -212,6 +212,29 @@ class TestFloatComboGap:
         expected = reference_float_combo_gap(tuple(point), tuple(coeffs))
         assert result == expected
 
+    @given(
+        st.lists(
+            st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    @example([F(1, 3)], [F(1), F(-2), F(5, 7), F(0), F(1)])
+    @example([F(0), F(0)], [F(0), F(1)])
+    def test_bit_identical_to_the_window_prefilter(self, point, coeffs):
+        # the search goldens read these floats: the sides from gaps._gap_sides
+        # must round exactly as mid * mid - low * high did, weights longer
+        # than the point included; hex() also tells -0.0 from 0.0
+        result = search._float_combo_gap(tuple(point), tuple(coeffs))
+        expected = window_float_combo_gap(tuple(point), tuple(coeffs))
+        assert result == expected
+        assert result.hex() == expected.hex()
+
 
 class TestMatchesFractionReference:
     @pytest.mark.parametrize(
@@ -389,6 +412,23 @@ class TestStructuredScan:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             structured_scan("mystery", 3)
+
+    @pytest.mark.parametrize("family", search.FAMILIES)
+    @pytest.mark.parametrize("grid", [ScanGrid(), ScanGrid.of(["1", "3"])])
+    def test_work_estimate_counts_what_the_scan_evaluates(self, family, grid):
+        # the closed form the CLI caps on: the scan's evaluations times n + 1 entries
+        for n in range(1, 9):
+            evaluated = structured_scan(family, n, grid).evaluated
+            assert search._scan_work(family, n, grid) == evaluated * (n + 1)
+
+    def test_work_estimate_builds_no_vector(self):
+        # 2^64 stands for every larger alternating-signs count, past any cap
+        assert search._scan_work("alternating-signs", 10**18, ScanGrid()) == (
+            2**64 * 25 * 10**18 * (10**18 + 1)
+        )
+        assert search._scan_work("mystery", 3, ScanGrid()) == search._scan_work(
+            "one-hot", 0, ScanGrid()
+        ) == 0
 
 
 def _peak_bytes_to_first(enumerator, *args):
