@@ -40,18 +40,21 @@ _DEFAULTS = {"seed": 0, "budget": 1000, "samples": 1000, "n_max": 8, "format": "
 _DIGIT_MARGIN = 100
 
 # The most work each sized command takes on, counted from the parsed argv
-# before any starts: for lemmas and report one unit per window (n, k)
-# with 4 <= n <= n_max and 1 <= k <= n-2, and for report one per sample;
-# one per sample of search theta and per iteration of search
-# conjecture15; one per point entry search scan evaluates
-# (search._scan_work).  At its cap each command runs a few seconds;
-# README states every cap.
+# before any starts (_check_work): for lemmas and report one unit per
+# window (n, k) with 4 <= n <= n_max and 1 <= k <= n-2, and for report one
+# per sample; for search theta and search conjecture15 one unit is a
+# sample or an iteration at the README sizes, and a longer point or more
+# coefficients cost more (_theta_work, _hunt_work); one per point entry
+# search scan evaluates (search._scan_work); one per pair of entries of
+# the verify --ineq remark point.  At its cap each command runs a few
+# seconds; README states every cap.
 MAX_WORK = {
     "lemmas": 100_000,
     "report": 50_000,
     "search conjecture15": 20_000,
     "search theta": 100_000,
     "search scan": 1_000_000,
+    "verify --ineq remark": 16_000_000,
 }
 
 # JSON chunks per write: a few hundred KB of text at most
@@ -333,6 +336,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
             readers = " or ".join(other for other, (reads, _) in _GAPS.items() if flag in reads)
             raise ValueError(f"--{flag} applies only to --ineq {readers}, not {ineq}")
     _require(args, *(name for name in names if name != "theta"))
+    if ineq == "remark":
+        # one unit per pair of entries of remark_violation's constant point
+        _check_work("verify --ineq remark", ("--n", max(args.n, 0) ** 2))
     if ineq == "quantitative" and args.theta is None:
         from .certificate import theta_for
 
@@ -390,30 +396,44 @@ def _windows(n_max: int) -> int:
     return (n_max - 2) * (n_max - 1) // 2 - 1 if n_max >= 4 else 0
 
 
-def _check_work(command: str, flag: str, units: int, what: str) -> None:
-    """Refuse an argv whose work, units counted from it before any work
-    starts, exceeds the command's cap in MAX_WORK: one error line that
-    names the flag and what would be checked."""
-    cap = MAX_WORK[command]
+def _theta_work(n: int) -> int:
+    """The units of one search theta sample on a point of n entries, one
+    at n = 4.  Fitted to one sample's time on a 2-vCPU Xeon: 0.063 ms at
+    n = 4, 2.2 ms at 32, 40 ms at 64 and 1.3 s at 128; the sigmas of n
+    entries over a denominator of about 20n bits grow as n^5."""
+    n = max(n, 0)
+    return 1 + n * n // 64 + n**5 // 1_650_000
+
+
+def _hunt_work(m: int, n: int) -> int:
+    """The units of one search conjecture15 iteration with m coefficients
+    on a point of n entries, one at m = 3 and n = 4.  Fitted to the slow
+    iterations, those that refine their candidate through 61 float gaps,
+    on a 2-vCPU Xeon: 0.29 ms at the README sizes, 4 s at n = 64 (m = 2),
+    where the sigmas grow as n^5, and 13 s at m = 320,000 (n = 1), where
+    every sampled vector and float window holds m entries."""
+    m, n = max(m, 0), max(n, 0)
+    return 1 + m // 7 + n**5 // 76_000
+
+
+def _check_work(command: str, *stages: tuple[str, int]) -> None:
+    """Refuse an argv whose work exceeds its cap in MAX_WORK, before any
+    starts.  Stages are cumulative (flag, units) pairs, each counting the
+    flags up to its own with the later ones at a value that blames no one;
+    the last is the whole work.  The error names the first flag over the cap."""
+    cap, units = MAX_WORK[command], stages[-1][1]
     if units > cap:
-        raise ValueError(f"{flag}: {command} would check {what}, above its cap of {cap}")
-
-
-def _check_windows(command: str, n_max: int, samples: int = 0) -> None:
-    """The work cap of lemmas and report: --n-max when the windows alone
-    exceed it, --samples when the samples take them past it."""
-    windows = _windows(n_max)
-    _check_work(command, "--n-max", windows, f"{windows} windows")
-    _check_work(
-        command, "--samples", windows + samples, f"{windows} windows and {samples} samples in all"
-    )
+        flag = next(flag for flag, work in stages if work > cap)
+        raise ValueError(
+            f"{flag}: {command} would take {units} units of work, above its cap of {cap}"
+        )
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[object, bool]:
     if args.n_max < 4:
         # the lemmas start at n = 4: a smaller bound would pass with nothing checked
         raise ValueError(f"lemmas needs n_max >= 4, got {args.n_max}")
-    _check_windows("lemmas", args.n_max)
+    _check_work("lemmas", ("--n-max", _windows(args.n_max)))
     from .certificate import window_check
 
     checks = [window_check(n, k) for n in range(4, args.n_max + 1) for k in range(1, n - 1)]
@@ -430,7 +450,8 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[object, bool]:
         "x": args.x,
         "k": args.k,
         "cubic": cubic,
-        "discriminant": cubic_discriminant(cubic),
+        # all four means vanish on a Degenerate window: the zero cubic has none
+        "discriminant": cubic_discriminant(cubic) if any(cubic) else None,
         **reduce_to_three(args.x, args.k).to_json_dict(),
     }
     return payload, False
@@ -443,7 +464,13 @@ def _cmd_theta(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[object, bool]:
-    _check_work("search conjecture15", "--budget", args.budget, f"{args.budget} iterations")
+    per_iteration = _hunt_work(args.m, args.n)
+    _check_work(
+        "search conjecture15",
+        ("--m", _hunt_work(args.m, 1)),
+        ("--n", per_iteration),
+        ("--budget", per_iteration * args.budget),
+    )
     from .search import find_counterexample_15
 
     witness = find_counterexample_15(args.m, args.n, args.seed, args.budget)
@@ -458,7 +485,8 @@ def _cmd_search_conjecture(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_search_theta(args: argparse.Namespace) -> tuple[object, bool]:
-    _check_work("search theta", "--samples", args.samples, f"{args.samples} samples")
+    per_sample = _theta_work(args.n)
+    _check_work("search theta", ("--n", per_sample), ("--samples", per_sample * args.samples))
     from .search import empirical_theta
 
     return empirical_theta(args.n, args.k, args.samples, args.seed), False
@@ -468,18 +496,15 @@ def _cmd_search_scan(args: argparse.Namespace) -> tuple[object, bool]:
     from .search import ScanGrid, _scan_work, structured_scan
 
     grid = ScanGrid() if args.grid is None else ScanGrid.of(args.grid)
-    cap = MAX_WORK["search scan"]
-    # --grid is at fault only if the default grid would pass at this n
-    flag = "--n" if _scan_work(args.family, args.n, ScanGrid()) > cap else "--grid"
-    size = f"{args.family}, n = {args.n}, {len(grid.values)} grid values"
-    what = f"more than {cap} point entries ({size})"
-    _check_work("search scan", flag, _scan_work(args.family, args.n, grid), what)
+    default, chosen = (_scan_work(args.family, args.n, g) for g in (ScanGrid(), grid))
+    _check_work("search scan", ("--n", default), ("--grid", chosen))
     report = structured_scan(args.family, args.n, grid)
     return report, report.negative > 0
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[object, bool]:
-    _check_windows("report", args.n_max, args.samples)
+    windows = _windows(args.n_max)
+    _check_work("report", ("--n-max", windows), ("--samples", windows + args.samples))
     from .report import report_bundle
 
     document = report_bundle(args.n_max, args.seed, args.samples)

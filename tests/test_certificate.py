@@ -526,6 +526,59 @@ class TestForms:
                 window_check(n, k)
 
 
+class TestEveryWindow:
+    """Facts that hold for every window at once: with n = 3+p+j and
+    k = 1+p over MPoly in (p, j), p, j >= 0 and p + j >= 1 is exactly
+    n >= 4, 1 <= k <= n-2."""
+
+    @staticmethod
+    def positive_off_the_origin(form) -> bool:
+        """Nonnegative coefficients, no constant term and a positive pure
+        p^a and pure j^b term: positive whenever p + j >= 1."""
+        terms = form.terms
+        return (
+            all(coef > 0 for coef in terms.values())
+            and (0, 0) not in terms
+            and any(j == 0 for _, j in terms)
+            and any(p == 0 for p, _ in terms)
+        )
+
+    def test_sign_claimed_forms_are_positive(self):
+        p, j = MPoly.variables(2)
+        n, k = 3 + p + j, 1 + p
+        f = _forms(*_scale_free_quad(n, k))
+        forms = {
+            "bd": f.bd,
+            "ac": f.ac,
+            "mixed": f.mixed,
+            "den": f.den,
+            "den - 3*mixed": f.den - 3 * f.mixed,
+            "theta2": f.theta2,
+            "A1": f.A1,
+            "A2": f.A2,
+            "combo": f.combo,
+            **{scan.__name__: scan(n, k) for scan in (f1, f2, f3, f4)},
+        }
+        for name, form in forms.items():
+            assert self.positive_off_the_origin(form), name
+
+    def test_decomposition_is_a_generic_identity(self):
+        # den * td^2 * (L - theta1 head^2 - theta2 W - V) over the
+        # quadruple's own variables: W and V are homogeneous of degree 2 in
+        # (alpha, t), so td^2 W(z, alpha, tn/td) = W(z, alpha*td, tn)
+        z1, z2, z3, alpha, a, b, c, d = MPoly.variables(8)
+        quad = certificate.BinomQuad(None, None, a, b, c, d)
+        f = _forms(a, b, c, d)
+        s1, s2, _ = certificate._sigmas(z1, z2, z3)
+        head = certificate._head(s1, s2, alpha, quad)
+        residual = f.td**2 * (
+            f.den * _l(z1, z2, z3, alpha, quad)
+            - 3 * f.mixed * head**2
+            - _v(z1, z2, z3, alpha, f.A1, f.A2, f.A3)
+        ) - f.theta2 * _w(z1, z2, z3, alpha * f.td, f.tn)
+        assert not residual
+
+
 class TestFScan:
     def test_n4_values(self):
         rows = {row.k: row for row in f_scan(4)}

@@ -318,6 +318,16 @@ class TestCertificateCommands:
             assert out == ""
             assert err == f"error: lemmas needs n_max >= 4, got {n_max}\n"
 
+    # every function that starts a capped command's work
+    WORK = (
+        "symcert.certificate.window_check",
+        "symcert.report.report_bundle",
+        "symcert.search.structured_scan",
+        "symcert.search.empirical_theta",
+        "symcert.search.find_counterexample_15",
+        "symcert.gaps.remark_violation",
+    )
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -344,6 +354,18 @@ class TestCertificateCommands:
                 ["search", "conjecture15", "--m", "3", "--n", "4", "--budget", str(10**18)],
                 "--budget",
             ),
+            (["search", "theta", "--n", "176", "--k", "1", "--samples", "1"], "--n"),
+            (["search", "theta", "--n", str(10**18), "--k", "1", "--samples", "1"], "--n"),
+            (["search", "theta", "--n", "128", "--k", "1", "--samples", "1000"], "--samples"),
+            (["search", "conjecture15", "--m", "140000", "--n", "4", "--budget", "1"], "--m"),
+            (["search", "conjecture15", "--m", "100000000", "--n", "4", "--budget", "1"], "--m"),
+            (["search", "conjecture15", "--m", str(10**18), "--n", "4", "--budget", "1"], "--m"),
+            (["search", "conjecture15", "--m", "2", "--n", "69", "--budget", "1"], "--n"),
+            (["search", "conjecture15", "--m", "2", "--n", str(10**18), "--budget", "1"], "--n"),
+            (["search", "conjecture15", "--m", "2", "--n", "64", "--budget", "100"], "--budget"),
+            (["verify", "--ineq", "remark", "--n", "4001", "--k", "0"], "--n"),
+            (["verify", "--ineq", "remark", "--n", "100000", "--k", "0"], "--n"),
+            (["verify", "--ineq", "remark", "--n", str(10**18), "--k", str(10**18 - 1)], "--n"),
         ],
     )
     def test_work_above_the_cap_exits_two(self, capsys, monkeypatch, argv, flag):
@@ -352,25 +374,24 @@ class TestCertificateCommands:
         def refuse(*args):
             raise AssertionError("work started")
 
-        for work in (
-            "symcert.certificate.window_check",
-            "symcert.report.report_bundle",
-            "symcert.search.structured_scan",
-            "symcert.search.empirical_theta",
-            "symcert.search.find_counterexample_15",
-        ):
+        for work in self.WORK:
             monkeypatch.setattr(work, refuse)
-        command = " ".join(argv[:2]) if argv[0] == "search" else argv[0]
-        values = dict(zip(argv[-2::-2], argv[::-2]))
+        command = {"search": " ".join(argv[:2]), "verify": " ".join(argv[:3])}.get(argv[0], argv[0])
+        values = {
+            flag: int(value) if value.lstrip("-").isdigit() else value
+            for flag, value in zip(argv[-2::-2], argv[::-2])
+        }
         if command == "search scan":
-            grid = search.ScanGrid.of(
-                json.loads(values.get("--grid", "[]")) or search.DEFAULT_GRID
-            )
-            units = search._scan_work(values["--family"], int(values["--n"]), grid)
-        elif command.startswith("search"):
-            units = int(values.get("--samples", values.get("--budget")))
+            grid = search.ScanGrid.of(json.loads(values.get("--grid", "[]")) or search.DEFAULT_GRID)
+            units = search._scan_work(values["--family"], values["--n"], grid)
+        elif command == "search theta":
+            units = cli._theta_work(values["--n"]) * values["--samples"]
+        elif command == "search conjecture15":
+            units = cli._hunt_work(values["--m"], values["--n"]) * values["--budget"]
+        elif command == "verify --ineq remark":
+            units = values["--n"] ** 2
         else:
-            units = cli._windows(int(values["--n-max"])) + int(values.get("--samples", 0))
+            units = cli._windows(values["--n-max"]) + values.get("--samples", 0)
         assert units > cli.MAX_WORK[command]
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
@@ -378,7 +399,45 @@ class TestCertificateCommands:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
-    def test_work_caps_admit_the_largest_documented_commands(self):
+    def test_work_caps_admit_the_largest_documented_commands(self, monkeypatch, tmp_path):
+        # the README and CI commands, and the largest sizes README admits,
+        # reach their work: the patched work function is what stops them
+        class Admitted(Exception):
+            pass
+
+        def admit(*args):
+            raise Admitted
+
+        for work in self.WORK:
+            monkeypatch.setattr(work, admit)
+        out = str(tmp_path / "report.json")
+        for argv in (
+            ["lemmas", "--n-max", "6"],
+            ["lemmas", "--n-max", "64"],
+            ["lemmas", "--n-max", "200"],
+            ["lemmas", "--n-max", "448"],
+            ["report", "--n-max", "8", "--seed", "0", "--samples", "200", "--out", out],
+            ["report", "--n-max", "60", "--seed", "0", "--samples", "2000", "--out", out],
+            ["report", "--n-max", "200", "--seed", "0", "--samples", "200", "--out", out],
+            ["report", "--n-max", "317", "--samples", "1"],
+            ["report", "--n-max", "4", "--samples", "49998"],
+            ["search", "conjecture15", "--m", "3", "--n", "4", "--seed", "0", "--budget", "2000"],
+            ["search", "conjecture15", "--m", "3", "--n", "4", "--budget", "20000"],
+            ["search", "conjecture15", "--m", "2", "--n", "68", "--budget", "1"],
+            ["search", "conjecture15", "--m", "139993", "--n", "4", "--budget", "1"],
+            ["search", "theta", "--n", "4", "--k", "1", "--samples", "1000", "--seed", "0"],
+            ["search", "theta", "--n", "4", "--k", "1", "--samples", "100000"],
+            ["search", "theta", "--n", "128", "--k", "1", "--samples", "4"],
+            ["search", "theta", "--n", "175", "--k", "1", "--samples", "1"],
+            ["search", "scan", "--family", "alternating-signs", "--n", "3"],
+            ["search", "scan", "--family", "one-hot", "--n", "33"],
+            ["verify", "--ineq", "remark", "--n", "3", "--k", "0"],
+            ["verify", "--ineq", "remark", "--n", "4000", "--k", "3999"],
+        ):
+            with pytest.raises(Admitted):
+                cli.run(argv)
+        # one unit per sample or iteration at the README sizes
+        assert cli._theta_work(4) == cli._hunt_work(3, 4) == 1
         assert cli._windows(4) == 2 and cli._windows(8) == sum(n - 2 for n in range(4, 9))
         assert cli._windows(448) <= cli.MAX_WORK["lemmas"] < cli._windows(449)
         assert cli._windows(317) < cli.MAX_WORK["report"] < cli._windows(318)
@@ -415,6 +474,15 @@ class TestReduce:
         assert code == 0
         assert data["branch"] == "Degenerate"
         assert data["degenerate_means"] == ["-1/10", "0"]
+
+    def test_zero_window_has_null_discriminant(self, capsys):
+        # every mean of the window vanishes, so the cubic is zero
+        code, data, _ = invoke_json(capsys, "reduce", "--x", '["1","0","0","0","0"]', "--k", "3")
+        assert code == 0
+        assert data["cubic"]["coefficients"] == ["0"] * 4
+        assert data["discriminant"] is None
+        assert data["branch"] == "Degenerate"
+        assert data["degenerate_means"] == ["0", "0"]
 
 
 class TestSearchCommands:
